@@ -616,9 +616,10 @@ fn main() {
                 (
                     "instantiate_path".to_owned(),
                     Value::String(
-                        "hits replay per-region plans with pre-materialized temporary names \
-                         and recorded winner-only property inference (per candidate split), \
-                         on a thread-local allocation-free workspace"
+                        "hits rank every cell over slot-indexed formulas, then build \
+                         operations and temporaries for the winning tree's cells only, with \
+                         recorded winner-only property inference (per candidate split), on a \
+                         thread-local workspace"
                             .into(),
                     ),
                 ),

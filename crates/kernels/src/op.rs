@@ -1,5 +1,6 @@
 //! Fully-instantiated kernel operations: the payload of generated code.
 
+use crate::sym::FlopFormula;
 use gmc_expr::{Operand, Shape};
 use std::fmt;
 
@@ -359,79 +360,12 @@ impl KernelOp {
     /// `m²n`, `SYRK` costs `m²k`, solvers add their factorization cost
     /// (`2/3·m³` for LU, `1/3·m³` for Cholesky), and explicit general
     /// inversion costs `2·m³`.
+    ///
+    /// Computed by [`FlopFormula::eval_with`], the evaluator the
+    /// symbolic plan cache also uses, so concrete and cached costs agree
+    /// bit for bit.
     pub fn flops(&self) -> f64 {
-        match self {
-            KernelOp::Gemm { ta, tb, a, b } => {
-                let sa = apply_t(*ta, a.shape());
-                let sb = apply_t(*tb, b.shape());
-                let (m, k, n) = (sa.rows() as f64, sa.cols() as f64, sb.cols() as f64);
-                2.0 * m * n * k
-            }
-            KernelOp::Trmm { a, b, .. } | KernelOp::Symm { a, b, .. } => {
-                let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
-                m * m * n
-            }
-            KernelOp::Trsm { a, b, .. } => {
-                let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
-                m * m * n
-            }
-            KernelOp::Syrk { trans, a } => {
-                let s = a.shape();
-                let (m, k) = if *trans {
-                    (s.cols() as f64, s.rows() as f64)
-                } else {
-                    (s.rows() as f64, s.cols() as f64)
-                };
-                m * m * k
-            }
-            KernelOp::Gesv { a, b, .. } => {
-                let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
-                2.0 / 3.0 * m * m * m + 2.0 * m * m * n
-            }
-            KernelOp::Posv { a, b, .. } => {
-                let m = a.shape().rows() as f64;
-                let n = other_dim(a, b) as f64;
-                1.0 / 3.0 * m * m * m + 2.0 * m * m * n
-            }
-            KernelOp::Diag { b, .. } => (b.shape().rows() * b.shape().cols()) as f64,
-            KernelOp::Gemv { a, .. } => {
-                let s = a.shape();
-                2.0 * (s.rows() * s.cols()) as f64
-            }
-            KernelOp::Trmv { a, .. } | KernelOp::Trsv { a, .. } => {
-                let n = a.shape().rows() as f64;
-                n * n
-            }
-            KernelOp::Symv { a, .. } => {
-                let n = a.shape().rows() as f64;
-                2.0 * n * n
-            }
-            KernelOp::Ger { x, y } => 2.0 * (x.shape().rows() * y.shape().rows()) as f64,
-            KernelOp::Dot { x, .. } => 2.0 * x.shape().rows() as f64,
-            KernelOp::Copy { .. } => 0.0,
-            KernelOp::Inv { kind, a, .. } => {
-                let n = a.shape().rows() as f64;
-                match kind {
-                    // GETRF + GETRI.
-                    InvKind::General => 2.0 * n * n * n,
-                    // POTRF + POTRI.
-                    InvKind::Spd => n * n * n,
-                    // TRTRI.
-                    InvKind::Triangular(_) => n * n * n / 3.0,
-                    // Reciprocal of the diagonal.
-                    InvKind::Diagonal => n,
-                }
-            }
-            KernelOp::InvPair { a, .. } => {
-                // GETRI on one operand (2m³) + GESV with the other
-                // (2/3·m³ + 2·m³).
-                let m = a.shape().rows() as f64;
-                (2.0 + 2.0 / 3.0 + 2.0) * m * m * m
-            }
-        }
+        FlopFormula::of_op(self).eval_by(|size| size)
     }
 
     /// The operands referenced by this operation, in argument order.
@@ -498,18 +432,6 @@ fn apply_t(t: bool, s: Shape) -> Shape {
         s.transposed()
     } else {
         s
-    }
-}
-
-/// The free dimension of `B` (the one not shared with the square
-/// structured operand `A`).
-fn other_dim(a: &Operand, b: &Operand) -> usize {
-    let m = a.shape().rows();
-    let s = b.shape();
-    if s.rows() == m {
-        s.cols()
-    } else {
-        s.rows()
     }
 }
 

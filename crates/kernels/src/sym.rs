@@ -1,91 +1,101 @@
-//! Symbolic kernel costs: exact FLOP formulas over dimension variables.
+//! Kernel costs as formulas over dimensions: the single place where a
+//! kernel operation's FLOP count is computed.
 //!
 //! [`FlopFormula`] captures the *shape-level structure* of a kernel
-//! operation's FLOP count — which symbolic dimensions enter the formula
-//! and how — independent of any particular operands. It serves two
-//! purposes in the symbolic pipeline:
+//! operation's FLOP count — which dimensions enter the formula and
+//! how — independent of any particular operands. It is generic over the
+//! dimension type, so one formula serves every stage of the pipeline:
 //!
-//! * [`FlopFormula::eval`] reproduces [`KernelOp::flops`] **bit for
-//!   bit**: each variant performs the same `f64` operations in the same
-//!   order as the corresponding arm of `flops`, so a cached symbolic
-//!   plan instantiated at concrete sizes yields costs identical to a
-//!   from-scratch concrete solve.
-//! * [`FlopFormula::poly`] lifts the formula to a [`CostPoly`], on
+//! * `FlopFormula<usize>` is what [`KernelOp::flops`] evaluates: the
+//!   concrete optimizer's costs come from [`FlopFormula::of_op`].
+//! * `FlopFormula<Dim>` ([`FlopFormula::from_op`]) is the symbolic form
+//!   a plan cache records. [`FlopFormula::eval`] binds it at concrete
+//!   sizes, and [`FlopFormula::poly`] lifts it to a [`CostPoly`], on
 //!   which the symbolic optimizer decides split dominance.
+//! * Any other dimension type (a plan cache's slot indices, say) maps
+//!   in through [`FlopFormula::try_map_dims`] and evaluates through
+//!   [`FlopFormula::eval_with`].
+//!
+//! Every evaluation goes through [`FlopFormula::eval_with`], so a cached
+//! symbolic plan instantiated at concrete sizes yields costs
+//! bit-identical to a from-scratch concrete solve by construction.
 
 use crate::op::{InvKind, KernelOp};
-use gmc_expr::{CostPoly, Dim, DimBindings, DimError, SymShape};
+use gmc_expr::{CostPoly, Dim, DimBindings, DimError, Operand, SymShape};
+use std::convert::Infallible;
 
-/// The FLOP count of a kernel operation as a function of symbolic
-/// dimensions (paper Table 1 / Sec. 2 footnote conventions).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FlopFormula {
+/// The FLOP count of a kernel operation as a function of its
+/// dimensions (paper Table 1 / Sec. 2 footnote conventions). `D` is the
+/// dimension type: [`Dim`] for symbolic formulas, `usize` for concrete
+/// ones.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlopFormula<D = Dim> {
     /// GEMM: `2.0 * m * n * k`.
     Gemm {
         /// Result rows.
-        m: Dim,
+        m: D,
         /// Inner dimension.
-        k: Dim,
+        k: D,
         /// Result columns.
-        n: Dim,
+        n: D,
     },
     /// TRMM / SYMM / TRSM: `m * m * n` (structured operand dimension
     /// `m`, free dimension `n`).
     Level3 {
         /// Structured (square) operand dimension.
-        m: Dim,
+        m: D,
         /// Free dimension of the general operand.
-        n: Dim,
+        n: D,
     },
     /// SYRK: `m * m * k`.
     Syrk {
         /// Result dimension.
-        m: Dim,
+        m: D,
         /// Inner dimension.
-        k: Dim,
+        k: D,
     },
     /// GESV: `2/3·m³ + 2·m²·n`.
     Gesv {
         /// Solve dimension.
-        m: Dim,
+        m: D,
         /// Right-hand-side free dimension.
-        n: Dim,
+        n: D,
     },
     /// POSV: `1/3·m³ + 2·m²·n`.
     Posv {
         /// Solve dimension.
-        m: Dim,
+        m: D,
         /// Right-hand-side free dimension.
-        n: Dim,
+        n: D,
     },
     /// Diagonal multiply/solve: `r·c` entries.
     EntryCount {
         /// Rows of the general operand.
-        r: Dim,
+        r: D,
         /// Columns of the general operand.
-        c: Dim,
+        c: D,
     },
     /// GEMV / GER: `2·(r·c)`.
     TwiceEntryCount {
         /// First dimension.
-        r: Dim,
+        r: D,
         /// Second dimension.
-        c: Dim,
+        c: D,
     },
     /// TRMV / TRSV: `n·n`.
     SquareN {
         /// Triangular dimension.
-        n: Dim,
+        n: D,
     },
     /// SYMV: `2·n·n`.
     TwiceSquareN {
         /// Symmetric dimension.
-        n: Dim,
+        n: D,
     },
     /// DOT: `2·n`.
     TwiceN {
         /// Vector length.
-        n: Dim,
+        n: D,
     },
     /// COPY: zero FLOPs.
     Zero,
@@ -94,183 +104,221 @@ pub enum FlopFormula {
         /// Which factorization computes the inverse.
         kind: InvKind,
         /// The (square) dimension.
-        n: Dim,
+        n: D,
     },
     /// Composite inverse pair: `(2 + 2/3 + 2)·m³`.
     InvPair {
         /// The (square) dimension.
-        m: Dim,
+        m: D,
     },
 }
 
-fn apply_t(t: bool, s: SymShape) -> SymShape {
-    if t {
-        s.transposed()
-    } else {
-        s
-    }
-}
-
-impl FlopFormula {
-    /// Derives the formula for `op`, resolving each operand's symbolic
-    /// shape by name through `shapes`.
+impl<D: Copy> FlopFormula<D> {
+    /// Derives the formula for `op`, resolving each operand's
+    /// `(rows, cols)` in the dimension domain `D` through `shape`.
     ///
-    /// Branches that [`KernelOp::flops`] decides by comparing *concrete*
-    /// dimensions (the free-dimension choice of the structured level-3
-    /// kernels) are decided here from the operation's concrete operand
-    /// shapes; within one size region (fixed ordering pattern of the
-    /// chain dimensions) those branches are invariant, which is what
-    /// makes the formula cacheable per region.
-    pub fn from_op(op: &KernelOp, mut shapes: impl FnMut(&str) -> SymShape) -> FlopFormula {
-        let shapes: &mut dyn FnMut(&str) -> SymShape = &mut shapes;
-        // The free dimension of `b`: the one not shared with the square
-        // structured operand `a` (mirror of `other_dim` in `op.rs`).
-        fn other_dim(
-            shapes: &mut dyn FnMut(&str) -> SymShape,
-            a: &gmc_expr::Operand,
-            b: &gmc_expr::Operand,
-        ) -> Dim {
-            let sb = shapes(b.name());
-            if b.shape().rows() == a.shape().rows() {
-                sb.cols()
+    /// Branches that depend on *concrete* dimensions (the free-dimension
+    /// choice of the structured level-3 kernels) are decided from the
+    /// operation's concrete operand shapes; within one size region
+    /// (fixed ordering pattern of the chain dimensions) those branches
+    /// are invariant, which is what makes a symbolic formula cacheable
+    /// per region.
+    pub fn from_op_with(op: &KernelOp, mut shape: impl FnMut(&Operand) -> (D, D)) -> Self {
+        let t = |trans: bool, (r, c): (D, D)| if trans { (c, r) } else { (r, c) };
+        // The structured (square) operand `a`'s dimension and the free
+        // dimension of `b`, the one not shared with `a`.
+        let mut structured = |a: &Operand, b: &Operand| {
+            let (rows, cols) = shape(b);
+            let n = if b.shape().rows() == a.shape().rows() {
+                cols
             } else {
-                sb.rows()
-            }
-        }
+                rows
+            };
+            (shape(a).0, n)
+        };
         match op {
             KernelOp::Gemm { ta, tb, a, b } => {
-                let sa = apply_t(*ta, shapes(a.name()));
-                let sb = apply_t(*tb, shapes(b.name()));
-                FlopFormula::Gemm {
-                    m: sa.rows(),
-                    k: sa.cols(),
-                    n: sb.cols(),
-                }
+                let (m, k) = t(*ta, shape(a));
+                let (_, n) = t(*tb, shape(b));
+                FlopFormula::Gemm { m, k, n }
             }
-            KernelOp::Trmm { a, b, .. } | KernelOp::Symm { a, b, .. } => FlopFormula::Level3 {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
-            },
-            KernelOp::Trsm { a, b, .. } => FlopFormula::Level3 {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
-            },
+            KernelOp::Trmm { a, b, .. }
+            | KernelOp::Symm { a, b, .. }
+            | KernelOp::Trsm { a, b, .. } => {
+                let (m, n) = structured(a, b);
+                FlopFormula::Level3 { m, n }
+            }
             KernelOp::Syrk { trans, a } => {
-                let s = shapes(a.name());
-                let (m, k) = if *trans {
-                    (s.cols(), s.rows())
-                } else {
-                    (s.rows(), s.cols())
-                };
+                let (m, k) = t(*trans, shape(a));
                 FlopFormula::Syrk { m, k }
             }
-            KernelOp::Gesv { a, b, .. } => FlopFormula::Gesv {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
-            },
-            KernelOp::Posv { a, b, .. } => FlopFormula::Posv {
-                m: shapes(a.name()).rows(),
-                n: other_dim(shapes, a, b),
-            },
+            KernelOp::Gesv { a, b, .. } => {
+                let (m, n) = structured(a, b);
+                FlopFormula::Gesv { m, n }
+            }
+            KernelOp::Posv { a, b, .. } => {
+                let (m, n) = structured(a, b);
+                FlopFormula::Posv { m, n }
+            }
             KernelOp::Diag { b, .. } => {
-                let s = shapes(b.name());
-                FlopFormula::EntryCount {
-                    r: s.rows(),
-                    c: s.cols(),
-                }
+                let (r, c) = shape(b);
+                FlopFormula::EntryCount { r, c }
             }
             KernelOp::Gemv { a, .. } => {
-                let s = shapes(a.name());
-                FlopFormula::TwiceEntryCount {
-                    r: s.rows(),
-                    c: s.cols(),
-                }
+                let (r, c) = shape(a);
+                FlopFormula::TwiceEntryCount { r, c }
             }
-            KernelOp::Trmv { a, .. } | KernelOp::Trsv { a, .. } => FlopFormula::SquareN {
-                n: shapes(a.name()).rows(),
-            },
-            KernelOp::Symv { a, .. } => FlopFormula::TwiceSquareN {
-                n: shapes(a.name()).rows(),
-            },
+            KernelOp::Trmv { a, .. } | KernelOp::Trsv { a, .. } => {
+                FlopFormula::SquareN { n: shape(a).0 }
+            }
+            KernelOp::Symv { a, .. } => FlopFormula::TwiceSquareN { n: shape(a).0 },
             KernelOp::Ger { x, y } => FlopFormula::TwiceEntryCount {
-                r: shapes(x.name()).rows(),
-                c: shapes(y.name()).rows(),
+                r: shape(x).0,
+                c: shape(y).0,
             },
-            KernelOp::Dot { x, .. } => FlopFormula::TwiceN {
-                n: shapes(x.name()).rows(),
-            },
+            KernelOp::Dot { x, .. } => FlopFormula::TwiceN { n: shape(x).0 },
             KernelOp::Copy { .. } => FlopFormula::Zero,
             KernelOp::Inv { kind, a, .. } => FlopFormula::Inv {
                 kind: *kind,
-                n: shapes(a.name()).rows(),
+                n: shape(a).0,
             },
-            KernelOp::InvPair { a, .. } => FlopFormula::InvPair {
-                m: shapes(a.name()).rows(),
-            },
+            KernelOp::InvPair { a, .. } => FlopFormula::InvPair { m: shape(a).0 },
         }
     }
 
-    /// Evaluates the formula at concrete sizes.
+    /// The same formula over another dimension type, converting every
+    /// dimension through `f` (the first error aborts the conversion).
     ///
-    /// Performs the exact same `f64` operations, in the same order, as
-    /// the matching arm of [`KernelOp::flops`], so the result is
-    /// bit-identical to instantiating the operation and calling `flops`.
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_map_dims<T, E>(
+        &self,
+        mut f: impl FnMut(D) -> Result<T, E>,
+    ) -> Result<FlopFormula<T>, E> {
+        Ok(match *self {
+            FlopFormula::Gemm { m, k, n } => FlopFormula::Gemm {
+                m: f(m)?,
+                k: f(k)?,
+                n: f(n)?,
+            },
+            FlopFormula::Level3 { m, n } => FlopFormula::Level3 { m: f(m)?, n: f(n)? },
+            FlopFormula::Syrk { m, k } => FlopFormula::Syrk { m: f(m)?, k: f(k)? },
+            FlopFormula::Gesv { m, n } => FlopFormula::Gesv { m: f(m)?, n: f(n)? },
+            FlopFormula::Posv { m, n } => FlopFormula::Posv { m: f(m)?, n: f(n)? },
+            FlopFormula::EntryCount { r, c } => FlopFormula::EntryCount { r: f(r)?, c: f(c)? },
+            FlopFormula::TwiceEntryCount { r, c } => {
+                FlopFormula::TwiceEntryCount { r: f(r)?, c: f(c)? }
+            }
+            FlopFormula::SquareN { n } => FlopFormula::SquareN { n: f(n)? },
+            FlopFormula::TwiceSquareN { n } => FlopFormula::TwiceSquareN { n: f(n)? },
+            FlopFormula::TwiceN { n } => FlopFormula::TwiceN { n: f(n)? },
+            FlopFormula::Zero => FlopFormula::Zero,
+            FlopFormula::Inv { kind, n } => FlopFormula::Inv { kind, n: f(n)? },
+            FlopFormula::InvPair { m } => FlopFormula::InvPair { m: f(m)? },
+        })
+    }
+
+    /// [`eval_with`](Self::eval_with) for a resolver that cannot fail.
+    #[inline]
+    pub fn eval_by(&self, mut size: impl FnMut(D) -> usize) -> f64 {
+        match self.eval_with(|dim| Ok::<usize, Infallible>(size(dim))) {
+            Ok(flops) => flops,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Evaluates the formula, resolving each dimension to a size through
+    /// `size`. This is the one FLOP evaluator: [`KernelOp::flops`],
+    /// [`FlopFormula::eval`] and a plan cache's bind-time ranking all
+    /// call it, so their costs agree bit for bit.
+    ///
+    /// Each dimension converts to `f64` before any multiplication, so a
+    /// product of sizes never wraps in integer arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// The first error `size` returns.
+    #[inline]
+    pub fn eval_with<E>(&self, mut size: impl FnMut(D) -> Result<usize, E>) -> Result<f64, E> {
+        let mut d = |dim: D| size(dim).map(|v| v as f64);
+        Ok(match *self {
+            FlopFormula::Gemm { m, k, n } => {
+                let (m, k, n) = (d(m)?, d(k)?, d(n)?);
+                2.0 * m * n * k
+            }
+            FlopFormula::Level3 { m, n } | FlopFormula::Syrk { m, k: n } => {
+                let (m, n) = (d(m)?, d(n)?);
+                m * m * n
+            }
+            FlopFormula::Gesv { m, n } => {
+                let (m, n) = (d(m)?, d(n)?);
+                2.0 / 3.0 * m * m * m + 2.0 * m * m * n
+            }
+            FlopFormula::Posv { m, n } => {
+                let (m, n) = (d(m)?, d(n)?);
+                1.0 / 3.0 * m * m * m + 2.0 * m * m * n
+            }
+            FlopFormula::EntryCount { r, c } => d(r)? * d(c)?,
+            FlopFormula::TwiceEntryCount { r, c } => 2.0 * (d(r)? * d(c)?),
+            FlopFormula::SquareN { n } => {
+                let n = d(n)?;
+                n * n
+            }
+            FlopFormula::TwiceSquareN { n } => {
+                let n = d(n)?;
+                2.0 * n * n
+            }
+            FlopFormula::TwiceN { n } => 2.0 * d(n)?,
+            FlopFormula::Zero => 0.0,
+            FlopFormula::Inv { kind, n } => {
+                let n = d(n)?;
+                match kind {
+                    // GETRF + GETRI.
+                    InvKind::General => 2.0 * n * n * n,
+                    // POTRF + POTRI.
+                    InvKind::Spd => n * n * n,
+                    // TRTRI.
+                    InvKind::Triangular(_) => n * n * n / 3.0,
+                    // Reciprocal of the diagonal.
+                    InvKind::Diagonal => n,
+                }
+            }
+            FlopFormula::InvPair { m } => {
+                // GETRI on one operand (2m³) + GESV with the other
+                // (2/3·m³ + 2·m³).
+                let m = d(m)?;
+                (2.0 + 2.0 / 3.0 + 2.0) * m * m * m
+            }
+        })
+    }
+}
+
+impl FlopFormula<usize> {
+    /// The concrete formula of `op`, over its operands' actual sizes.
+    pub fn of_op(op: &KernelOp) -> Self {
+        FlopFormula::from_op_with(op, |o| (o.shape().rows(), o.shape().cols()))
+    }
+}
+
+impl FlopFormula<Dim> {
+    /// Derives the symbolic formula for `op`, resolving each operand's
+    /// symbolic shape by name through `shapes`.
+    pub fn from_op(op: &KernelOp, mut shapes: impl FnMut(&str) -> SymShape) -> Self {
+        FlopFormula::from_op_with(op, |o| {
+            let s = shapes(o.name());
+            (s.rows(), s.cols())
+        })
+    }
+
+    /// Evaluates the formula at concrete sizes, bit-identical to
+    /// instantiating the operation and calling [`KernelOp::flops`].
     ///
     /// # Errors
     ///
     /// Propagates [`DimError`] for unbound variables or zero sizes.
     pub fn eval(&self, bindings: &DimBindings) -> Result<f64, DimError> {
-        let d = |dim: &Dim| dim.bind(bindings);
-        Ok(match self {
-            FlopFormula::Gemm { m, k, n } => {
-                let (m, k, n) = (d(m)? as f64, d(k)? as f64, d(n)? as f64);
-                2.0 * m * n * k
-            }
-            FlopFormula::Level3 { m, n } => {
-                let m = d(m)? as f64;
-                let n = d(n)? as f64;
-                m * m * n
-            }
-            FlopFormula::Syrk { m, k } => {
-                let (m, k) = (d(m)? as f64, d(k)? as f64);
-                m * m * k
-            }
-            FlopFormula::Gesv { m, n } => {
-                let m = d(m)? as f64;
-                let n = d(n)? as f64;
-                2.0 / 3.0 * m * m * m + 2.0 * m * m * n
-            }
-            FlopFormula::Posv { m, n } => {
-                let m = d(m)? as f64;
-                let n = d(n)? as f64;
-                1.0 / 3.0 * m * m * m + 2.0 * m * m * n
-            }
-            FlopFormula::EntryCount { r, c } => (d(r)? * d(c)?) as f64,
-            FlopFormula::TwiceEntryCount { r, c } => 2.0 * (d(r)? * d(c)?) as f64,
-            FlopFormula::SquareN { n } => {
-                let n = d(n)? as f64;
-                n * n
-            }
-            FlopFormula::TwiceSquareN { n } => {
-                let n = d(n)? as f64;
-                2.0 * n * n
-            }
-            FlopFormula::TwiceN { n } => 2.0 * d(n)? as f64,
-            FlopFormula::Zero => 0.0,
-            FlopFormula::Inv { kind, n } => {
-                let n = d(n)? as f64;
-                match kind {
-                    InvKind::General => 2.0 * n * n * n,
-                    InvKind::Spd => n * n * n,
-                    InvKind::Triangular(_) => n * n * n / 3.0,
-                    InvKind::Diagonal => n,
-                }
-            }
-            FlopFormula::InvPair { m } => {
-                let m = d(m)? as f64;
-                (2.0 + 2.0 / 3.0 + 2.0) * m * m * m
-            }
-        })
+        self.eval_with(|dim| dim.bind(bindings))
     }
 
     /// The formula as a multivariate polynomial in the dimension
@@ -383,7 +431,7 @@ mod tests {
             &[&tri, &bb],
         );
         // Right-side structured operand exercises the free-dimension
-        // branch of `other_dim`.
+        // branch of the structured level-3 formula.
         let wide = Operand::matrix("W", 17, 23);
         check_exact(
             KernelOp::Trmm {
@@ -521,6 +569,59 @@ mod tests {
                 b: spd.clone(),
             },
             &[&spd],
+        );
+    }
+
+    #[test]
+    fn entry_counts_do_not_wrap_at_2_pow_33() {
+        // 2^33 · 2^33 = 2^66 overflows a 64-bit `usize` (it wraps to 0 in
+        // release builds); every factor converts to f64 first instead.
+        let big = 1usize << 33;
+        let want = (big as f64) * (big as f64);
+        let g = Operand::matrix("G", big, big);
+        let d = Operand::square("D", big).with_property(Property::Diagonal);
+        let x = Operand::col_vector("x", big);
+        let ops = [
+            (
+                KernelOp::Diag {
+                    side: Side::Left,
+                    inv: false,
+                    tb: false,
+                    d: d.clone(),
+                    b: g.clone(),
+                },
+                want,
+            ),
+            (
+                KernelOp::Gemv {
+                    trans: false,
+                    a: g.clone(),
+                    x: x.clone(),
+                },
+                2.0 * want,
+            ),
+            (
+                KernelOp::Ger {
+                    x: x.clone(),
+                    y: x.clone(),
+                },
+                2.0 * want,
+            ),
+        ];
+        let n = Dim::var("kf_big");
+        let bindings = DimBindings::new().with("kf_big", big);
+        for (op, flops) in ops {
+            assert_eq!(op.flops(), flops, "{op}");
+            let symbolic = FlopFormula::from_op(&op, |_| SymShape::new(n, n));
+            assert_eq!(symbolic.eval(&bindings).unwrap(), flops, "{op}");
+        }
+        assert_eq!(
+            FlopFormula::EntryCount { r: big, c: big }.eval_by(|d| d),
+            want
+        );
+        assert_eq!(
+            FlopFormula::TwiceEntryCount { r: big, c: big }.eval_by(|d| d),
+            2.0 * want
         );
     }
 

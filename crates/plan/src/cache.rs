@@ -595,35 +595,26 @@ impl PlanCache {
         concrete: &gmc_expr::Chain,
         bindings: &DimBindings,
     ) -> Result<GmcSolution<f64>, GmcError> {
-        // Structure keys canonicalize variable *names*, so the request
-        // chain may spell the same structure with different variables
-        // than the chain this region was recorded from — but the
-        // cached formulas reference the recording chain's variables.
-        // Key equality guarantees the two first-occurrence variable
-        // sequences line up positionally, so translate the bindings
-        // when (and only when) the variables differ.
-        let request_vars = sym.vars();
-        let translated = if request_vars == region.vars {
-            None
-        } else {
-            debug_assert_eq!(request_vars.len(), region.vars.len());
-            let mut b = DimBindings::new();
-            for (recorded, requested) in region.vars.iter().zip(&request_vars) {
-                let value = bindings
-                    .get(*requested)
-                    .expect("the request chain bound successfully, so its variables are bound");
-                b.set_var(*recorded, value);
-            }
-            Some(b)
-        };
-        let eval_bindings = translated.as_ref().unwrap_or(bindings);
+        // The region's lowered formulas index its variables in
+        // first-occurrence order. Structure keys canonicalize variable
+        // *names*, so the request chain's own first-occurrence variables
+        // line up with them by position, whatever they are called.
+        let values: Vec<usize> = sym
+            .vars()
+            .into_iter()
+            .map(|var| {
+                bindings
+                    .get(var)
+                    .expect("the request chain bound successfully, so its variables are bound")
+            })
+            .collect();
         with_scratch(|scratch, workspace| {
             instantiate(
                 &self.registry,
                 self.inference,
                 region,
                 concrete,
-                eval_bindings,
+                &values,
                 scratch,
                 workspace,
             )

@@ -10,36 +10,73 @@
 //! binding. The recorder therefore runs the concrete DP once per
 //! region, capturing per cell the full candidate set `(split, kernel,
 //! FLOP formula)`; instantiation re-ranks those candidates with the
-//! exact per-kernel FLOP formulas (bit-identical to
-//! [`gmc_kernels::KernelOp::flops`]) under the *same* two-stage
-//! selection the optimizer uses (per split: streaming min by cost, then
-//! specificity, then registration order; across splits: strict
-//! improvement, earliest split wins ties). The result is bit-identical
-//! to a from-scratch concrete solve.
+//! exact per-kernel FLOP formulas (evaluated by the same
+//! [`FlopFormula::eval_with`] behind [`gmc_kernels::KernelOp::flops`])
+//! under the *same* two-stage selection the optimizer uses (per split:
+//! streaming min by cost, then specificity, then registration order;
+//! across splits: strict improvement, earliest split wins ties). The
+//! result is bit-identical to a from-scratch concrete solve.
 //!
 //! On top of that, cells are classified:
 //!
-//! * **Resolved** — one candidate's cost *polynomial* dominates every
-//!   alternative on the positive orthant (with ties broken the same way
-//!   the optimizer breaks them), so the decision is binding-independent
-//!   and instantiation skips the candidate scan entirely.
+//! * **Resolved** — one candidate's cost *polynomial* is strictly below
+//!   every alternative's on the positive orthant, so the decision is
+//!   binding-independent and instantiation skips the candidate scan
+//!   entirely. A polynomial *tie* never resolves a cell (unless the two
+//!   formulas are identical): equal polynomials evaluated through
+//!   different `f64` operations can round apart, and the concrete DP
+//!   compares the rounded values.
 //! * **Deferred** — polynomially ambiguous; candidates are re-ranked
 //!   numerically at bind time.
 //! * **Dynamic** — a descendant's property set is split-dependent
 //!   (possible under compositional inference), so the cached candidate
 //!   set cannot be trusted; the cell is re-matched live at bind time.
+//!
+//! # Lowered formulas
+//!
+//! A stored candidate's formula is *lowered*: each dimension is either a
+//! slot in the region's first-occurrence variable list
+//! ([`RegionPlan::vars`](RegionPlan)) or a constant ([`SlotDim`]). At
+//! bind time the cache passes the request's variable values in that
+//! order as one `&[usize]`, and every candidate evaluates by indexing
+//! it — no map lookups. A request chain that spells the same structure
+//! with other variable names lines up by position, so its values need
+//! no translation.
+//!
+//! # Rank, then materialize
+//!
+//! [`instantiate`] runs two passes over a [`PlanWorkspace`]:
+//!
+//! 1. **Ranking** walks the DP bottom-up and keeps, per cell, only the
+//!    total cost, the split, the operation cost and the index of the
+//!    winning candidate. Resolved cells evaluate their one candidate;
+//!    deferred cells rank theirs with [`select_two_stage`].
+//! 2. **Materialization** walks the winning tree from the root in
+//!    post-order and builds kernel operations, temporaries and kernel
+//!    names for its `n − 1` cells only — not for all `n(n+1)/2`.
+//!
+//! A dynamic cell matches kernels on its children's expressions, so
+//! during ranking it first materializes the winning subtree of each
+//! child it inspects, through the same walk (which skips cells already
+//! built).
 
 use gmc::{GmcError, GmcSolution, InferenceMode, Step};
 use gmc_analysis::infer_properties;
-use gmc_expr::{Chain, CostPoly, DimBindings, Expr, Operand, PropertySet, SymChain, SymShape};
+use gmc_expr::{
+    Chain, CostPoly, Dim, DimVar, Expr, Operand, PropertySet, Shape, SymChain, SymShape,
+};
 use gmc_kernels::{FlatTermScratch, FlopFormula, KernelOp, KernelRegistry};
 use gmc_pattern::{Bindings, Var};
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::fmt::Write as _;
 
-const X: Var = Var::new(0);
-const Y: Var = Var::new(1);
+/// The pattern variables of a binary-product kernel (`X · Y`), in the
+/// order of a [`Candidate`]'s `binds`.
+pub(crate) const PATTERN_VARS: [Var; 2] = [Var::new(0), Var::new(1)];
 
 /// Where a kernel operand comes from when re-instantiating a cached
 /// candidate: a chain factor or a DP-cell temporary.
@@ -49,16 +86,71 @@ pub(crate) enum OperandRef {
     Temp(usize, usize),
 }
 
+/// A dimension of a lowered formula: a slot in the region's
+/// first-occurrence variable list, or a constant size.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SlotDim {
+    Slot(usize),
+    Const(usize),
+}
+
+/// Lowers a symbolic formula onto slots of `vars`.
+///
+/// # Errors
+///
+/// The first variable the formula references that `vars` lacks.
+pub(crate) fn lower(
+    formula: &FlopFormula,
+    vars: &[DimVar],
+) -> Result<FlopFormula<SlotDim>, DimVar> {
+    formula.try_map_dims(|dim| match dim {
+        Dim::Const(c) => Ok(SlotDim::Const(c)),
+        Dim::Var(v) => vars
+            .iter()
+            .position(|&x| x == v)
+            .map(SlotDim::Slot)
+            .ok_or(v),
+    })
+}
+
+/// The symbolic formula a lowered one was lowered from (`vars` must be
+/// the list it was lowered against).
+pub(crate) fn lift(formula: &FlopFormula<SlotDim>, vars: &[DimVar]) -> FlopFormula {
+    let lifted = formula.try_map_dims(|dim| {
+        Ok::<_, Infallible>(match dim {
+            SlotDim::Slot(slot) => Dim::Var(vars[slot]),
+            SlotDim::Const(c) => Dim::Const(c),
+        })
+    });
+    match lifted {
+        Ok(f) => f,
+        Err(never) => match never {},
+    }
+}
+
 /// One cached kernel candidate of a DP cell.
 #[derive(Clone, Debug)]
 pub(crate) struct Candidate {
     pub(crate) k: usize,
     pub(crate) kernel_idx: usize,
     pub(crate) specificity: u8,
-    pub(crate) formula: FlopFormula,
-    pub(crate) op_poly: CostPoly,
-    pub(crate) total_poly: Option<CostPoly>,
-    pub(crate) var_binds: Vec<(Var, OperandRef)>,
+    pub(crate) formula: FlopFormula<SlotDim>,
+    /// The operand bound to each of [`PATTERN_VARS`], if the kernel's
+    /// pattern uses it.
+    pub(crate) binds: [Option<OperandRef>; 2],
+}
+
+impl Candidate {
+    /// The candidate's operation cost at the variable values `values`
+    /// (slot order), bit-identical to the instantiated operation's
+    /// [`KernelOp::flops`].
+    #[inline]
+    fn cost(&self, values: &[usize]) -> f64 {
+        self.formula.eval_by(|dim| match dim {
+            SlotDim::Slot(slot) => values[slot],
+            SlotDim::Const(c) => c,
+        })
+    }
 }
 
 /// How a deferred cell's temporary gets its property set at bind time.
@@ -122,28 +214,18 @@ pub(crate) enum CellPlan {
 pub struct RegionPlan {
     pub(crate) n: usize,
     pub(crate) cells: Vec<CellPlan>,
-    /// Pre-materialized temporary names `T<i>_<j>` per cell, so a cache
-    /// hit clones instead of re-formatting each destination name.
-    pub(crate) temp_names: Vec<String>,
     /// The *recording* chain's distinct dimension variables in
-    /// first-occurrence order. Structure keys canonicalize variable
-    /// names, so a request chain may use different names for the same
-    /// structure; its bindings are translated onto these variables
-    /// positionally before any cached formula is evaluated.
-    pub(crate) vars: Vec<gmc_expr::DimVar>,
+    /// first-occurrence order: the slots of every lowered formula.
+    /// Structure keys canonicalize variable names, so a request chain
+    /// may use different names for the same structure; its variables
+    /// line up with these by position.
+    pub(crate) vars: Vec<DimVar>,
 }
 
-/// The `T<i>_<j>` temporary names of every cell of an `n`-chain, in
-/// cell-index order — the single source of the naming scheme for the
-/// recorder and the plan store.
-pub(crate) fn build_temp_names(n: usize) -> Vec<String> {
-    let mut names = vec![String::new(); n * (n + 1) / 2];
-    for i in 0..n {
-        for j in i..n {
-            names[cell_index(n, i, j)] = format!("T{i}_{j}");
-        }
-    }
-    names
+/// The temporary holding the result of cell `(i, j)`, named as the
+/// concrete optimizer names it.
+fn temporary(i: usize, j: usize, shape: Shape, props: PropertySet) -> Operand {
+    Operand::temporary(format!("T{i}_{j}"), shape, props)
 }
 
 /// Cell classification counts of a [`RegionPlan`].
@@ -192,11 +274,6 @@ impl RegionPlan {
         let s = self.summary();
         s.deferred == 0 && s.dynamic == 0 && s.unsolvable == 0
     }
-
-    #[inline]
-    fn index(&self, i: usize, j: usize) -> usize {
-        cell_index(self.n, i, j)
-    }
 }
 
 #[inline]
@@ -205,63 +282,65 @@ pub(crate) fn cell_index(n: usize, i: usize, j: usize) -> usize {
     i * (2 * n - i + 1) / 2 + (j - i)
 }
 
-/// Reusable state for the instantiate hot path, held by the cache so a
-/// cache hit allocates no fresh DP tables or candidate-scan buffers.
-/// (The per-cell temporaries, operations and kernel-name strings that
-/// remain are part of the returned solution itself.)
+/// Reusable state for the instantiate hot path, held per thread by the
+/// cache so a cache hit allocates no fresh DP tables or candidate-scan
+/// buffers.
+///
+/// The ranking pass fills only the per-cell cost, split, operation cost
+/// and winning-candidate index of `solved`; the materialization pass
+/// then fills the temporaries, operations and kernel names of the
+/// winning tree's cells (and of the subtrees a dynamic cell inspects),
+/// and the solution takes them out.
 #[derive(Debug, Default)]
 pub(crate) struct PlanWorkspace {
     solved: Solved,
-    costs: Vec<f64>,
     entries: Vec<Ranked>,
 }
 
 /// Shared DP result state for the recorder and the instantiation walk.
+/// A cell is *materialized* once its `expr` is set; its winning subtree
+/// is then materialized too.
 #[derive(Debug, Default)]
 struct Solved {
     n: usize,
     cost: Vec<Option<f64>>,
-    expr: Vec<Option<Expr>>,
     split: Vec<usize>,
+    op_cost: Vec<f64>,
+    /// Winning candidate index of a ranked deferred cell.
+    winner: Vec<usize>,
+    expr: Vec<Option<Expr>>,
     op: Vec<Option<KernelOp>>,
     kernel: Vec<String>,
-    op_cost: Vec<f64>,
 }
 
 impl Solved {
     fn new(n: usize) -> Solved {
-        let mut s = Solved {
-            n: 0,
-            cost: Vec::new(),
-            expr: Vec::new(),
-            split: Vec::new(),
-            op: Vec::new(),
-            kernel: Vec::new(),
-            op_cost: Vec::new(),
-        };
+        let mut s = Solved::default();
         s.reset(n);
         s
     }
 
     /// Clears the state for a chain of length `n`, reusing the existing
     /// allocations where large enough — the instantiate hot path holds
-    /// one `Solved` per [`crate::PlanCache`] and resets it per request,
-    /// mirroring `gmc::GmcWorkspace` on the concrete hot path.
+    /// one `Solved` per thread and resets it per request, mirroring
+    /// `gmc::GmcWorkspace` on the concrete hot path.
     fn reset(&mut self, n: usize) {
         let len = n * (n + 1) / 2;
         self.n = n;
         self.cost.clear();
         self.cost.resize(len, None);
-        self.expr.clear();
-        self.expr.resize(len, None);
         self.split.clear();
         self.split.resize(len, 0);
+        self.op_cost.clear();
+        self.op_cost.resize(len, 0.0);
+        self.winner.clear();
+        self.winner.resize(len, 0);
+        self.expr.clear();
+        self.expr.resize(len, None);
         self.op.clear();
         self.op.resize(len, None);
         self.kernel.clear();
         self.kernel.resize(len, String::new());
-        self.op_cost.clear();
-        self.op_cost.resize(len, 0.0);
     }
 
     #[inline]
@@ -269,12 +348,22 @@ impl Solved {
         cell_index(self.n, i, j)
     }
 
+    /// Seeds the diagonal: zero cost and the factor's expression.
     fn seed_leaves(&mut self, chain: &Chain) {
         for i in 0..self.n {
             let idx = self.idx(i, i);
             self.expr[idx] = Some(chain.factor(i).expr());
             self.cost[idx] = Some(0.0);
         }
+    }
+
+    /// `cost(i, k) + cost(k+1, j)`: the children's accumulated cost of
+    /// split `k`, added in the optimizer's order.
+    #[inline]
+    fn base(&self, i: usize, k: usize, j: usize) -> f64 {
+        let cl = self.cost[self.idx(i, k)].expect("computable split");
+        let cr = self.cost[self.idx(k + 1, j)].expect("computable split");
+        cl + cr
     }
 
     fn operand_for(&self, r: OperandRef, chain: &Chain) -> Operand {
@@ -285,6 +374,49 @@ impl Solved {
                 other => unreachable!("temporary cell must hold a symbol, got {other:?}"),
             },
         }
+    }
+
+    /// Materializes cell `(i, j)` and its winning subtree (post-order),
+    /// skipping cells already materialized. The cell must be ranked.
+    fn materialize(
+        &mut self,
+        registry: &KernelRegistry,
+        region: &RegionPlan,
+        chain: &Chain,
+        i: usize,
+        j: usize,
+    ) {
+        let idx = self.idx(i, j);
+        if self.expr[idx].is_some() {
+            return;
+        }
+        if i == j {
+            self.expr[idx] = Some(chain.factor(i).expr());
+            return;
+        }
+        let k = self.split[idx];
+        self.materialize(registry, region, chain, i, k);
+        self.materialize(registry, region, chain, k + 1, j);
+        let (cand, props) = match &region.cells[idx] {
+            CellPlan::Resolved { cand, props } => (&**cand, *props),
+            CellPlan::Deferred { cands, props } => {
+                let cand = &cands[self.winner[idx]];
+                (cand, props.for_split(cand.k))
+            }
+            other => unreachable!("cell ({i},{j}) is {other:?}, not a ranked cell"),
+        };
+        let mut b = Bindings::new();
+        for (v, r) in PATTERN_VARS.into_iter().zip(cand.binds) {
+            if let Some(r) = r {
+                b.bind(v, &self.operand_for(r, chain));
+            }
+        }
+        let kernel = &registry.kernels()[cand.kernel_idx];
+        let op = kernel.instantiate(&b);
+        let temp = temporary(i, j, op.result_shape(), props);
+        self.expr[idx] = Some(temp.expr());
+        self.op[idx] = Some(op);
+        self.kernel[idx] = kernel.name().to_owned();
     }
 }
 
@@ -366,15 +498,20 @@ fn infer_cell_props(
     }
 }
 
-fn extract_solution(chain: &Chain, s: &Solved) -> Result<GmcSolution<f64>, GmcError> {
+/// Builds the solution from a materialized winning tree, moving each
+/// cell's operation and kernel name out of `s`.
+fn extract_solution(chain: &Chain, s: &mut Solved) -> Result<GmcSolution<f64>, GmcError> {
     let n = s.n;
     let Some(total_cost) = s.cost[s.idx(0, n - 1)] else {
         return Err(GmcError::not_computable(chain.to_string()));
     };
     let mut steps = Vec::with_capacity(n - 1);
-    push_steps(s, 0, n - 1, &mut steps);
-    let total_flops = steps.iter().map(|st: &Step<f64>| st.op.flops()).sum();
-    let paren = parenthesization(chain, s, 0, n - 1);
+    take_steps(s, 0, n - 1, &mut steps);
+    // Plans cost by FLOPs, so each step's cost is bit-identical to its
+    // operation's `flops()`, summed in the optimizer's step order.
+    let total_flops = steps.iter().map(|st: &Step<f64>| st.cost).sum();
+    let mut paren = String::new();
+    write_parenthesization(chain, s, 0, n - 1, &mut paren);
     Ok(GmcSolution::from_parts(
         steps,
         total_cost,
@@ -383,42 +520,68 @@ fn extract_solution(chain: &Chain, s: &Solved) -> Result<GmcSolution<f64>, GmcEr
     ))
 }
 
-fn push_steps(s: &Solved, i: usize, j: usize, out: &mut Vec<Step<f64>>) {
+fn take_steps(s: &mut Solved, i: usize, j: usize, out: &mut Vec<Step<f64>>) {
     if i == j {
         return;
     }
     let idx = s.idx(i, j);
     let k = s.split[idx];
-    push_steps(s, i, k, out);
-    push_steps(s, k + 1, j, out);
+    take_steps(s, i, k, out);
+    take_steps(s, k + 1, j, out);
     let dest = match s.expr[idx].as_ref().expect("solved cell has a temporary") {
         Expr::Symbol(op) => op.clone(),
         other => unreachable!("temporary must be a symbol, got {other}"),
     };
     out.push(Step {
         dest,
-        op: s.op[idx].clone().expect("solved cell has an operation"),
-        kernel: s.kernel[idx].clone(),
+        op: s.op[idx].take().expect("solved cell has an operation"),
+        kernel: std::mem::take(&mut s.kernel[idx]),
         cost: s.op_cost[idx],
     });
 }
 
-fn parenthesization(chain: &Chain, s: &Solved, i: usize, j: usize) -> String {
+fn write_parenthesization(chain: &Chain, s: &Solved, i: usize, j: usize, out: &mut String) {
     if i == j {
-        return chain.factor(i).to_string();
+        write!(out, "{}", chain.factor(i)).expect("writing to a String cannot fail");
+        return;
     }
     let k = s.split[s.idx(i, j)];
-    format!(
-        "({} {})",
-        parenthesization(chain, s, i, k),
-        parenthesization(chain, s, k + 1, j)
-    )
+    out.push('(');
+    write_parenthesization(chain, s, i, k, out);
+    out.push(' ');
+    write_parenthesization(chain, s, k + 1, j, out);
+    out.push(')');
 }
 
-/// Same-split tie-break: would `a` be preferred over `b` by the
-/// streaming within-split scan when their costs are equal?
-fn within_split_tie_favors(a: &Candidate, b: &Candidate) -> bool {
-    a.specificity > b.specificity || (a.specificity == b.specificity && a.kernel_idx < b.kernel_idx)
+/// A candidate while its region is being recorded, with its symbolic
+/// formula and, once pruning or symbolic resolution asks for it, that
+/// formula's polynomial. Only `cand` is kept in the plan.
+struct Lifted {
+    cand: Candidate,
+    formula: FlopFormula,
+    op_poly: OnceCell<CostPoly>,
+}
+
+impl Lifted {
+    fn op_poly(&self) -> &CostPoly {
+        self.op_poly.get_or_init(|| self.formula.poly())
+    }
+
+    /// Whether the within-split scan picks `self` over `other` at every
+    /// binding of the region: either its operation-cost polynomial is
+    /// strictly smaller everywhere, or both formulas are identical (so
+    /// they evaluate to the same bits) and the scan's tie-break —
+    /// specificity, then registration order — favors `self`. Equal but
+    /// differently-built polynomials do not count: their `f64`
+    /// evaluations can round apart.
+    fn always_beats_within_split(&self, other: &Lifted) -> bool {
+        let (a, b) = (&self.cand, &other.cand);
+        debug_assert_eq!(a.k, b.k);
+        self.op_poly().strictly_dominated_by(other.op_poly())
+            || (a.formula == b.formula
+                && (a.specificity > b.specificity
+                    || (a.specificity == b.specificity && a.kernel_idx < b.kernel_idx)))
+    }
 }
 
 /// Records the region plan for `chain` (the concrete binding of `sym`)
@@ -433,12 +596,12 @@ pub(crate) fn record_region(
     let n = chain.len();
     let len = n * (n + 1) / 2;
     let dims = sym.dims();
+    let vars = sym.vars();
     let mut solved = Solved::new(n);
     solved.seed_leaves(chain);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
     let mut total_polys: Vec<Option<CostPoly>> = vec![None; len];
     let mut unstable: Vec<bool> = vec![false; len];
-    let temp_names = build_temp_names(n);
 
     // Operand name → symbolic shape (for formulas) and → provenance
     // (for re-instantiation). Factors first; temporaries as created.
@@ -462,7 +625,7 @@ pub(crate) fn record_region(
         spec: u8,
         op: KernelOp,
         cost: f64,
-        var_binds: Vec<(Var, OperandRef)>,
+        binds: [Option<OperandRef>; 2],
     }
 
     for l in 1..n {
@@ -485,23 +648,20 @@ pub(crate) fn record_region(
                 registry.for_each_product_match(&le, &re, scratch, |kernel_idx, kernel, b| {
                     let op = kernel.instantiate(b);
                     let cost = op.flops();
-                    let mut var_binds = Vec::with_capacity(2);
-                    for v in [X, Y] {
-                        if let Some(operand) = b.get(v) {
-                            let r = refs
-                                .get(operand.name())
+                    let binds = PATTERN_VARS.map(|v| {
+                        b.get(v).map(|operand| {
+                            refs.get(operand.name())
                                 .copied()
-                                .expect("bound operand is a factor or temporary");
-                            var_binds.push((v, r));
-                        }
-                    }
+                                .expect("bound operand is a factor or temporary")
+                        })
+                    });
                     raw.push(RawCand {
                         k,
                         kernel_idx,
                         spec: kernel.specificity(),
                         op,
                         cost,
-                        var_binds,
+                        binds,
                     });
                 });
             }
@@ -538,8 +698,7 @@ pub(crate) fn record_region(
                 .clone()
                 .expect("winner");
             let props = infer_cell_props(inference, chain, &wle, &wre, i, j);
-            let temp =
-                Operand::temporary(temp_names[idx].clone(), raw[wi].op.result_shape(), props);
+            let temp = temporary(i, j, raw[wi].op.result_shape(), props);
             // A sub-chain result always has shape d[i] × d[j+1],
             // independent of how it is parenthesized.
             sym_shapes.insert(temp.name().to_owned(), SymShape::new(dims[i], dims[j + 1]));
@@ -558,93 +717,88 @@ pub(crate) fn record_region(
             }
 
             // Lift candidates to symbolic form.
-            let mut cands: Vec<Candidate> = raw
+            let mut lifted: Vec<Lifted> = raw
                 .iter()
                 .map(|c| {
                     let formula = FlopFormula::from_op(&c.op, |name| sym_shapes[name]);
-                    let op_poly = formula.poly();
-                    let total_poly = match (
-                        &total_polys[cell_index(n, i, c.k)],
-                        &total_polys[cell_index(n, c.k + 1, j)],
-                    ) {
-                        (Some(l), Some(r)) => Some(l.add(r).add(&op_poly)),
-                        _ => None,
-                    };
-                    Candidate {
-                        k: c.k,
-                        kernel_idx: c.kernel_idx,
-                        specificity: c.spec,
+                    Lifted {
+                        cand: Candidate {
+                            k: c.k,
+                            kernel_idx: c.kernel_idx,
+                            specificity: c.spec,
+                            formula: lower(&formula, &vars)
+                                .expect("chain formulas only reference chain variables"),
+                            binds: c.binds,
+                        },
                         formula,
-                        op_poly,
-                        total_poly,
-                        var_binds: c.var_binds.clone(),
+                        op_poly: OnceCell::new(),
                     }
                 })
                 .collect();
 
-            // Prune same-split candidates that are polynomially
-            // dominated by a tie-favored sibling — they can never be
-            // the within-split winner at any binding.
-            let mut keep = vec![true; cands.len()];
-            for b in 0..cands.len() {
-                for a in 0..cands.len() {
-                    if a == b || !keep[a] || cands[a].k != cands[b].k {
+            // Prune same-split candidates that a sibling beats at every
+            // binding — they can never be the within-split winner.
+            let mut keep = vec![true; lifted.len()];
+            for b in 0..lifted.len() {
+                for a in 0..lifted.len() {
+                    if a == b || !keep[a] || lifted[a].cand.k != lifted[b].cand.k {
                         continue;
                     }
-                    if cands[a].op_poly.dominated_by(&cands[b].op_poly)
-                        && within_split_tie_favors(&cands[a], &cands[b])
-                    {
+                    if lifted[a].always_beats_within_split(&lifted[b]) {
                         keep[b] = false;
                         break;
                     }
                 }
             }
-            let winner_key = (cands[wi].k, cands[wi].kernel_idx);
+            let winner_key = (raw[wi].k, raw[wi].kernel_idx);
             let mut iter_keep = keep.iter();
-            cands.retain(|_| *iter_keep.next().expect("keep mask aligned"));
-            let w = cands
+            lifted.retain(|_| *iter_keep.next().expect("keep mask aligned"));
+            let w = lifted
                 .iter()
-                .position(|c| (c.k, c.kernel_idx) == winner_key)
+                .position(|c| (c.cand.k, c.cand.kernel_idx) == winner_key)
                 .expect("winner survives pruning");
 
             // Symbolic resolution: the ρ-winner surely wins at every
-            // binding in the region. Against same-split rivals the
-            // op-cost polynomial decides (ties fall to the streaming
-            // scan's specificity/registration order). Against other
-            // splits the *total* polynomials decide: an earlier split
-            // wins on non-strict dominance (the DP keeps the earliest
-            // split on cost ties), a later split only on strict
-            // dominance (its cost must beat the earlier split
-            // everywhere).
-            let winner_resolved = cands[w].total_poly.is_some()
-                && cands.iter().enumerate().all(|(ci, c)| {
+            // binding in the region. Against same-split rivals it must
+            // win the within-split scan everywhere; against other splits
+            // its *total* polynomial must be strictly below theirs
+            // everywhere. A polynomial tie defers the cell even where the
+            // DP's tie-break (earliest split) would pick the winner: the
+            // DP compares `f64` totals accumulated along different
+            // splits, and polynomially equal totals can round apart.
+            // Total polynomials are built only as the check reaches
+            // them: most cells are deferred by the first rival.
+            let total_poly = |c: &Lifted| match (
+                &total_polys[cell_index(n, i, c.cand.k)],
+                &total_polys[cell_index(n, c.cand.k + 1, j)],
+            ) {
+                (Some(l), Some(r)) => Some(l.add(r).add(c.op_poly())),
+                _ => None,
+            };
+            let winner_total = total_poly(&lifted[w]);
+            let winner_resolved = winner_total.as_ref().is_some_and(|wt| {
+                lifted.iter().enumerate().all(|(ci, c)| {
                     if ci == w {
-                        return true;
-                    }
-                    if c.k == cands[w].k {
-                        cands[w].op_poly.dominated_by(&c.op_poly)
-                            && within_split_tie_favors(&cands[w], c)
+                        true
+                    } else if c.cand.k == lifted[w].cand.k {
+                        lifted[w].always_beats_within_split(c)
                     } else {
-                        c.total_poly.as_ref().is_some_and(|ct| {
-                            let wt = cands[w].total_poly.as_ref().expect("checked above");
-                            if cands[w].k < c.k {
-                                wt.dominated_by(ct)
-                            } else {
-                                wt.strictly_dominated_by(ct)
-                            }
-                        })
+                        total_poly(c).is_some_and(|ct| wt.strictly_dominated_by(&ct))
                     }
-                });
+                })
+            });
 
             if winner_resolved {
-                total_polys[idx] = cands[w].total_poly.clone();
+                let winner = lifted.swap_remove(w);
+                total_polys[idx] = winner_total;
                 plan_cells[idx] = CellPlan::Resolved {
-                    cand: Box::new(cands.swap_remove(w)),
+                    cand: Box::new(winner.cand),
                     props,
                 };
                 unstable[idx] = false;
                 continue;
             }
+            let cands: Vec<Candidate> = lifted.into_iter().map(|l| l.cand).collect();
 
             // Deferred: record the winner-only property inference per
             // candidate split. A deferred cell has no unstable
@@ -681,183 +835,326 @@ pub(crate) fn record_region(
         }
     }
 
-    let solution = extract_solution(chain, &solved);
+    let solution = extract_solution(chain, &mut solved);
     (
         RegionPlan {
             n,
             cells: plan_cells,
-            temp_names,
-            vars: sym.vars(),
+            vars,
         },
         solution,
     )
 }
 
-/// Replays a recorded region plan at a concrete binding.
+/// Replays a recorded region plan at a concrete binding: ranks every
+/// cell, then materializes the winning tree (see the module docs).
 ///
-/// `chain` must be `sym.bind(bindings)` and the binding must fall into
-/// the plan's region (`region_signature(chain.sizes())` matching the
-/// plan's key); the cache layer guarantees both.
+/// `chain` must be the request chain bound at `values`, the request's
+/// variable values in first-occurrence order (the slots of the plan's
+/// lowered formulas), and the binding must fall into the plan's region
+/// (`region_signature(chain.sizes())` matching the plan's key); the
+/// cache layer guarantees all three.
 pub(crate) fn instantiate(
     registry: &KernelRegistry,
     inference: InferenceMode,
     region: &RegionPlan,
     chain: &Chain,
-    bindings: &DimBindings,
+    values: &[usize],
     scratch: &mut FlatTermScratch,
     workspace: &mut PlanWorkspace,
 ) -> Result<GmcSolution<f64>, GmcError> {
     let n = region.n;
     debug_assert_eq!(n, chain.len());
     debug_assert_eq!(region.cells.len(), n * (n + 1) / 2);
-    let PlanWorkspace {
-        solved,
-        costs,
-        entries,
-    } = workspace;
+    debug_assert_eq!(values.len(), region.vars.len());
+    let PlanWorkspace { solved, entries } = workspace;
     solved.reset(n);
-    solved.seed_leaves(chain);
+    for i in 0..n {
+        let idx = solved.idx(i, i);
+        solved.cost[idx] = Some(0.0);
+    }
 
+    // Ranking pass.
     for l in 1..n {
         for i in 0..(n - l) {
             let j = i + l;
             let idx = cell_index(n, i, j);
-            match &region.cells[region.index(i, j)] {
+            let (total, k, op_cost) = match &region.cells[idx] {
                 CellPlan::Leaf => unreachable!("interior cell marked as leaf"),
-                CellPlan::Unsolvable => {}
-                CellPlan::Resolved { cand, props } => {
-                    let op_cost = cand
-                        .formula
-                        .eval(bindings)
-                        .expect("plan formulas only reference bound chain dimensions");
-                    let cl = solved.cost[cell_index(n, i, cand.k)].expect("resolved child");
-                    let cr = solved.cost[cell_index(n, cand.k + 1, j)].expect("resolved child");
-                    let total = (cl + cr) + op_cost;
-                    apply_candidate(
-                        registry,
-                        solved,
-                        chain,
-                        idx,
-                        &region.temp_names[idx],
-                        cand,
-                        total,
-                        op_cost,
-                        *props,
-                    );
+                CellPlan::Unsolvable => continue,
+                CellPlan::Resolved { cand, .. } => {
+                    let op_cost = cand.cost(values);
+                    (solved.base(i, cand.k, j) + op_cost, cand.k, op_cost)
                 }
-                CellPlan::Deferred { cands, props } => {
-                    costs.clear();
+                CellPlan::Deferred { cands, .. } => {
                     entries.clear();
-                    for c in cands {
-                        let cost = c
-                            .formula
-                            .eval(bindings)
-                            .expect("plan formulas only reference bound chain dimensions");
-                        costs.push(cost);
-                        entries.push(Ranked {
-                            k: c.k,
-                            kernel_idx: c.kernel_idx,
-                            spec: c.specificity,
-                            cost,
-                        });
-                    }
-                    let (wi, total) = select_two_stage(entries, |k| {
-                        let cl = solved.cost[cell_index(n, i, k)].expect("deferred child");
-                        let cr = solved.cost[cell_index(n, k + 1, j)].expect("deferred child");
-                        cl + cr
-                    })
-                    .expect("deferred cells have candidates");
-                    let cand = &cands[wi];
-                    let props = props.for_split(cand.k);
-                    apply_candidate(
-                        registry,
-                        solved,
-                        chain,
-                        idx,
-                        &region.temp_names[idx],
-                        cand,
-                        total,
-                        costs[wi],
-                        props,
-                    );
+                    entries.extend(cands.iter().map(|c| Ranked {
+                        k: c.k,
+                        kernel_idx: c.kernel_idx,
+                        spec: c.specificity,
+                        cost: c.cost(values),
+                    }));
+                    let (wi, total) = select_two_stage(entries, |k| solved.base(i, k, j))
+                        .expect("deferred cells have candidates");
+                    solved.winner[idx] = wi;
+                    (total, entries[wi].k, entries[wi].cost)
                 }
                 CellPlan::Dynamic => {
-                    // Live matching, mirroring the concrete optimizer's
-                    // `fill_cell`.
-                    let mut best: Option<(f64, usize, gmc_kernels::ProductMatch<'_, f64>)> = None;
-                    for k in i..j {
-                        let (li, ri) = (cell_index(n, i, k), cell_index(n, k + 1, j));
-                        let (Some(cl), Some(cr)) = (solved.cost[li], solved.cost[ri]) else {
-                            continue;
-                        };
-                        let (Some(le), Some(re)) = (&solved.expr[li], &solved.expr[ri]) else {
-                            continue;
-                        };
-                        let Some(m) = registry.best_product_match(le, re, scratch, |op| op.flops())
-                        else {
-                            continue;
-                        };
-                        let total = (cl + cr) + m.cost;
-                        let better = match &best {
-                            None => true,
-                            Some((t, _, _)) => total < *t,
-                        };
-                        if better {
-                            best = Some((total, k, m));
-                        }
-                    }
-                    let Some((total, k, m)) = best else {
-                        continue;
-                    };
-                    let le = solved.expr[cell_index(n, i, k)].as_ref().expect("winner");
-                    let re = solved.expr[cell_index(n, k + 1, j)]
-                        .as_ref()
-                        .expect("winner");
-                    let props = infer_cell_props(inference, chain, le, re, i, j);
-                    let temp = Operand::temporary(
-                        region.temp_names[idx].clone(),
-                        m.op.result_shape(),
-                        props,
-                    );
-                    solved.cost[idx] = Some(total);
-                    solved.expr[idx] = Some(temp.expr());
-                    solved.split[idx] = k;
-                    solved.kernel[idx] = m.kernel.name().to_owned();
-                    solved.op_cost[idx] = m.cost;
-                    solved.op[idx] = Some(m.op);
+                    match_dynamic(registry, inference, region, chain, scratch, solved, i, j);
+                    continue;
                 }
+            };
+            solved.cost[idx] = Some(total);
+            solved.split[idx] = k;
+            solved.op_cost[idx] = op_cost;
+        }
+    }
+
+    // Materialization pass: the winning tree only.
+    if solved.cost[cell_index(n, 0, n - 1)].is_some() {
+        solved.materialize(registry, region, chain, 0, n - 1);
+    }
+    extract_solution(chain, solved)
+}
+
+/// Decides and materializes a dynamic cell by live matching, mirroring
+/// the concrete optimizer's `fill_cell`. Each child it inspects is
+/// materialized first, so its expression is available to match on.
+#[allow(clippy::too_many_arguments)]
+fn match_dynamic(
+    registry: &KernelRegistry,
+    inference: InferenceMode,
+    region: &RegionPlan,
+    chain: &Chain,
+    scratch: &mut FlatTermScratch,
+    solved: &mut Solved,
+    i: usize,
+    j: usize,
+) {
+    let n = solved.n;
+    let mut best: Option<(f64, usize, gmc_kernels::ProductMatch<'_, f64>)> = None;
+    for k in i..j {
+        let (li, ri) = (cell_index(n, i, k), cell_index(n, k + 1, j));
+        let (Some(cl), Some(cr)) = (solved.cost[li], solved.cost[ri]) else {
+            continue;
+        };
+        solved.materialize(registry, region, chain, i, k);
+        solved.materialize(registry, region, chain, k + 1, j);
+        let (Some(le), Some(re)) = (&solved.expr[li], &solved.expr[ri]) else {
+            unreachable!("materialized children have expressions");
+        };
+        let Some(m) = registry.best_product_match(le, re, scratch, |op| op.flops()) else {
+            continue;
+        };
+        let total = (cl + cr) + m.cost;
+        let better = match &best {
+            None => true,
+            Some((t, _, _)) => total < *t,
+        };
+        if better {
+            best = Some((total, k, m));
+        }
+    }
+    let Some((total, k, m)) = best else {
+        return;
+    };
+    let idx = cell_index(n, i, j);
+    let le = solved.expr[cell_index(n, i, k)].as_ref().expect("winner");
+    let re = solved.expr[cell_index(n, k + 1, j)]
+        .as_ref()
+        .expect("winner");
+    let props = infer_cell_props(inference, chain, le, re, i, j);
+    let temp = temporary(i, j, m.op.result_shape(), props);
+    solved.cost[idx] = Some(total);
+    solved.split[idx] = k;
+    solved.op_cost[idx] = m.cost;
+    solved.expr[idx] = Some(temp.expr());
+    solved.kernel[idx] = m.kernel.name().to_owned();
+    solved.op[idx] = Some(m.op);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmc_expr::{DimBindings, Property};
+    use gmc_kernels::{InvKind, Side, Uplo};
+
+    /// One operation per formula variant (every inverse kind, both
+    /// free-dimension branches of the structured level-3 formula).
+    fn every_variant() -> Vec<KernelOp> {
+        let a = Operand::matrix("A", 37, 23);
+        let b = Operand::matrix("B", 23, 41);
+        let tri = Operand::square("L", 23).with_property(Property::LowerTriangular);
+        let c = Operand::matrix("C", 23, 17);
+        let wide = Operand::matrix("W", 17, 23);
+        let spd = Operand::square("S", 23).with_property(Property::SymmetricPositiveDefinite);
+        let d = Operand::square("D", 23).with_property(Property::Diagonal);
+        let x = Operand::col_vector("x", 23);
+        let y = Operand::col_vector("y", 17);
+        let mut ops = vec![
+            KernelOp::Gemm {
+                ta: true,
+                tb: false,
+                a: b.clone(),
+                b: b.clone(),
+            },
+            KernelOp::Gemm {
+                ta: false,
+                tb: false,
+                a: a.clone(),
+                b,
+            },
+            KernelOp::Trmm {
+                side: Side::Left,
+                uplo: Uplo::Lower,
+                trans: false,
+                a: tri.clone(),
+                b: c.clone(),
+            },
+            KernelOp::Trmm {
+                side: Side::Right,
+                uplo: Uplo::Lower,
+                trans: false,
+                a: tri.clone(),
+                b: wide,
+            },
+            KernelOp::Syrk {
+                trans: true,
+                a: a.clone(),
+            },
+            KernelOp::Gesv {
+                side: Side::Left,
+                trans: false,
+                tb: false,
+                a: tri.clone(),
+                b: c.clone(),
+            },
+            KernelOp::Posv {
+                side: Side::Left,
+                tb: false,
+                a: spd.clone(),
+                b: c.clone(),
+            },
+            KernelOp::Diag {
+                side: Side::Left,
+                inv: true,
+                tb: false,
+                d,
+                b: c.clone(),
+            },
+            KernelOp::Gemv {
+                trans: false,
+                a,
+                x: x.clone(),
+            },
+            KernelOp::Ger {
+                x: x.clone(),
+                y: y.clone(),
+            },
+            KernelOp::Trmv {
+                uplo: Uplo::Lower,
+                trans: false,
+                a: tri,
+                x: x.clone(),
+            },
+            KernelOp::Symv {
+                a: spd.clone(),
+                x: x.clone(),
+            },
+            KernelOp::Dot { x: y.clone(), y },
+            KernelOp::Copy { b: c },
+            KernelOp::InvPair {
+                ta: false,
+                tb: false,
+                a: spd.clone(),
+                b: spd.clone(),
+            },
+        ];
+        for kind in [
+            InvKind::General,
+            InvKind::Spd,
+            InvKind::Triangular(Uplo::Upper),
+            InvKind::Diagonal,
+        ] {
+            ops.push(KernelOp::Inv {
+                kind,
+                trans: false,
+                a: spd.clone(),
+            });
+        }
+        ops
+    }
+
+    #[test]
+    fn lowered_formulas_evaluate_bit_identically() {
+        // Each concrete size becomes a variable `lw_<size>` or stays a
+        // constant, so every variant is checked with slot dimensions,
+        // constant dimensions and a mix of both.
+        let all_slots = |_: usize| true;
+        let all_consts = |_: usize| false;
+        let mixed = |size: usize| size % 2 == 1;
+        for as_var in [&all_slots as &dyn Fn(usize) -> bool, &all_consts, &mixed] {
+            let mut vars: Vec<DimVar> = Vec::new();
+            let mut values: Vec<usize> = Vec::new();
+            let mut bindings = DimBindings::new();
+            let mut dim = |size: usize| {
+                if !as_var(size) {
+                    return Dim::Const(size);
+                }
+                let var = DimVar::new(&format!("lw_{size}"));
+                if !vars.contains(&var) {
+                    vars.push(var);
+                    values.push(size);
+                    bindings.set_var(var, size);
+                }
+                Dim::Var(var)
+            };
+            let mut symbolic = Vec::new();
+            for op in every_variant() {
+                let formula = FlopFormula::from_op(&op, |name| {
+                    let s = op
+                        .operands()
+                        .into_iter()
+                        .find(|o| o.name() == name)
+                        .expect("operand of op")
+                        .shape();
+                    SymShape::new(dim(s.rows()), dim(s.cols()))
+                });
+                symbolic.push((op, formula));
+            }
+            for (op, formula) in symbolic {
+                let lowered = lower(&formula, &vars).expect("every variable is listed");
+                assert_eq!(lift(&lowered, &vars), formula);
+                let cand = Candidate {
+                    k: 0,
+                    kernel_idx: 0,
+                    specificity: 0,
+                    formula: lowered,
+                    binds: [None; 2],
+                };
+                let want = op.flops().to_bits();
+                assert_eq!(cand.cost(&values).to_bits(), want, "{formula:?} for {op}");
+                assert_eq!(formula.eval(&bindings).unwrap().to_bits(), want, "{op}");
             }
         }
     }
 
-    extract_solution(chain, solved)
-}
-
-/// Materializes a cached candidate's operation for the current binding
-/// and writes the winning cell state at `idx`. `temp_name` is the
-/// cell's pre-materialized `T<i>_<j>` destination name.
-#[allow(clippy::too_many_arguments)]
-fn apply_candidate(
-    registry: &KernelRegistry,
-    solved: &mut Solved,
-    chain: &Chain,
-    idx: usize,
-    temp_name: &str,
-    cand: &Candidate,
-    total: f64,
-    op_cost: f64,
-    props: PropertySet,
-) {
-    let mut b = Bindings::new();
-    for (v, r) in &cand.var_binds {
-        b.bind(*v, &solved.operand_for(*r, chain));
+    #[test]
+    fn lowering_rejects_unlisted_variables() {
+        let (p, q) = (DimVar::new("lw_p"), DimVar::new("lw_q"));
+        let f = FlopFormula::Gemm {
+            m: Dim::Var(p),
+            k: Dim::Const(3),
+            n: Dim::Var(q),
+        };
+        assert_eq!(lower(&f, &[p]), Err(q));
+        assert_eq!(
+            lower(&f, &[q, p]),
+            Ok(FlopFormula::Gemm {
+                m: SlotDim::Slot(1),
+                k: SlotDim::Const(3),
+                n: SlotDim::Slot(0),
+            })
+        );
     }
-    let op = registry.kernels()[cand.kernel_idx].instantiate(&b);
-    let temp = Operand::temporary(temp_name.to_owned(), op.result_shape(), props);
-    solved.cost[idx] = Some(total);
-    solved.expr[idx] = Some(temp.expr());
-    solved.split[idx] = cand.k;
-    solved.kernel[idx] = registry.kernels()[cand.kernel_idx].name().to_owned();
-    solved.op_cost[idx] = op_cost;
-    solved.op[idx] = Some(op);
 }

@@ -6,13 +6,11 @@
 //! formulas included — so a loaded cache answers its first request for
 //! any stored region as a **hit**, with no symbolic re-solve.
 //!
-//! Two pieces of a [`crate::plan::Candidate`] are *not* stored because
-//! they are derivable: the cost polynomials (`op_poly` is exactly
-//! `formula.poly()`; `total_poly` is only consulted while a region is
-//! being recorded, never at instantiate time) and the per-cell
-//! temporary names (always `T<i>_<j>`). Snapshots are deterministic —
-//! structures and regions are sorted — so saving a loaded cache
-//! reproduces the stored bytes.
+//! A candidate's lowered formula is stored with its slots written as
+//! the region's variable names, and lowered again on load. The per-cell
+//! temporary names (always `T<i>_<j>`) are not stored. Snapshots are
+//! deterministic — structures and regions are sorted — so saving a
+//! loaded cache reproduces the stored bytes.
 //!
 //! A snapshot is tied to the kernel registry and inference mode it was
 //! recorded under: candidates reference kernels by registration index,
@@ -21,12 +19,13 @@
 
 use crate::cache::{PlanCache, PlanError};
 use crate::key::{FactorSig, KeyDim, StructureKey};
-use crate::plan::{Candidate, CellPlan, DeferredProps, OperandRef, RegionPlan};
+use crate::plan::{
+    lift, lower, Candidate, CellPlan, DeferredProps, OperandRef, RegionPlan, PATTERN_VARS,
+};
 use gmc::InferenceMode;
-use gmc_expr::{Dim, Property, PropertySet};
+use gmc_expr::{Dim, DimVar, Property, PropertySet};
 use gmc_kernels::FlopFormula;
 use gmc_kernels::{InvKind, Uplo};
-use gmc_pattern::Var;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 use std::sync::Arc;
@@ -199,57 +198,63 @@ fn operand_ref_from(v: &Value) -> Result<OperandRef, DeError> {
     }
 }
 
-fn candidate_value(c: &Candidate) -> Value {
-    let var_binds: Vec<Value> = c
-        .var_binds
+fn candidate_value(c: &Candidate, vars: &[DimVar]) -> Value {
+    let var_binds: Vec<Value> = PATTERN_VARS
         .iter()
-        .map(|(var, r)| Value::Array(vec![usize_value(var.index()), operand_ref_value(*r)]))
+        .zip(c.binds)
+        .filter_map(|(var, r)| {
+            r.map(|r| Value::Array(vec![usize_value(var.index()), operand_ref_value(r)]))
+        })
         .collect();
     Value::Object(vec![
         ("k".to_owned(), usize_value(c.k)),
         ("kernel".to_owned(), usize_value(c.kernel_idx)),
         ("spec".to_owned(), Value::Number(c.specificity as f64)),
-        ("formula".to_owned(), formula_value(&c.formula)),
+        ("formula".to_owned(), formula_value(&lift(&c.formula, vars))),
         ("binds".to_owned(), Value::Array(var_binds)),
     ])
 }
 
-fn candidate_from(v: &Value) -> Result<Candidate, DeError> {
-    let formula = formula_from(v.get_field("formula")?)?;
-    let binds = match v.get_field("binds")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| match item {
-                Value::Array(pair) if pair.len() == 2 => {
-                    let idx = usize::from_value(&pair[0])?;
-                    if idx >= 16 {
-                        return Err(DeError(format!(
-                            "pattern variable index {idx} out of range"
-                        )));
-                    }
-                    Ok((Var::new(idx as u8), operand_ref_from(&pair[1])?))
+fn candidate_from(v: &Value, vars: &[DimVar]) -> Result<Candidate, DeError> {
+    // Lowering fails on a variable outside the region's recorded list,
+    // which would otherwise leave a formula dimension unbound at serve
+    // time.
+    let formula = lower(&formula_from(v.get_field("formula")?)?, vars).map_err(|var| {
+        DeError(format!(
+            "formula references variable `{var}` outside the region's recorded variables"
+        ))
+    })?;
+    let mut binds = [None; 2];
+    match v.get_field("binds")? {
+        Value::Array(items) => {
+            for item in items {
+                let Value::Array(pair) = item else {
+                    return Err(DeError(format!("expected [var, ref] pair, got {item:?}")));
+                };
+                let [idx, r] = pair.as_slice() else {
+                    return Err(DeError(format!("expected [var, ref] pair, got {item:?}")));
+                };
+                let idx = usize::from_value(idx)?;
+                let slot = binds
+                    .get_mut(idx)
+                    .ok_or_else(|| DeError(format!("pattern variable index {idx} out of range")))?;
+                if slot.replace(operand_ref_from(r)?).is_some() {
+                    return Err(DeError(format!("pattern variable {idx} bound twice")));
                 }
-                other => Err(DeError(format!("expected [var, ref] pair, got {other:?}"))),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
+            }
+        }
         other => return Err(DeError(format!("expected binds array, got {other:?}"))),
-    };
-    let op_poly = formula.poly();
+    }
     Ok(Candidate {
         k: usize::from_value(v.get_field("k")?)?,
         kernel_idx: usize::from_value(v.get_field("kernel")?)?,
         specificity: u8::from_value(v.get_field("spec")?)?,
         formula,
-        op_poly,
-        // Total polynomials are only consulted while recording a
-        // region (to decide symbolic resolution); a stored plan is
-        // already classified, so they are not persisted.
-        total_poly: None,
-        var_binds: binds,
+        binds,
     })
 }
 
-fn cell_value(cell: &CellPlan) -> Value {
+fn cell_value(cell: &CellPlan, vars: &[DimVar]) -> Value {
     match cell {
         CellPlan::Leaf => tagged("leaf", vec![]),
         CellPlan::Unsolvable => tagged("unsolvable", vec![]),
@@ -257,7 +262,7 @@ fn cell_value(cell: &CellPlan) -> Value {
         CellPlan::Resolved { cand, props } => tagged(
             "resolved",
             vec![
-                ("cand".to_owned(), candidate_value(cand)),
+                ("cand".to_owned(), candidate_value(cand, vars)),
                 ("props".to_owned(), props_value(*props)),
             ],
         ),
@@ -284,7 +289,7 @@ fn cell_value(cell: &CellPlan) -> Value {
                 vec![
                     (
                         "cands".to_owned(),
-                        Value::Array(cands.iter().map(candidate_value).collect()),
+                        Value::Array(cands.iter().map(|c| candidate_value(c, vars)).collect()),
                     ),
                     ("props".to_owned(), props_v),
                 ],
@@ -293,20 +298,20 @@ fn cell_value(cell: &CellPlan) -> Value {
     }
 }
 
-fn cell_from(v: &Value) -> Result<CellPlan, DeError> {
+fn cell_from(v: &Value, vars: &[DimVar]) -> Result<CellPlan, DeError> {
     Ok(match tag_of(v)?.as_str() {
         "leaf" => CellPlan::Leaf,
         "unsolvable" => CellPlan::Unsolvable,
         "dynamic" => CellPlan::Dynamic,
         "resolved" => CellPlan::Resolved {
-            cand: Box::new(candidate_from(v.get_field("cand")?)?),
+            cand: Box::new(candidate_from(v.get_field("cand")?, vars)?),
             props: props_from(v.get_field("props")?)?,
         },
         "deferred" => {
             let cands = match v.get_field("cands")? {
                 Value::Array(items) => items
                     .iter()
-                    .map(candidate_from)
+                    .map(|c| candidate_from(c, vars))
                     .collect::<Result<Vec<_>, _>>()?,
                 other => return Err(DeError(format!("expected candidates, got {other:?}"))),
             };
@@ -420,7 +425,12 @@ impl Serialize for RegionPlan {
             ),
             (
                 "cells".to_owned(),
-                Value::Array(self.cells.iter().map(cell_value).collect()),
+                Value::Array(
+                    self.cells
+                        .iter()
+                        .map(|c| cell_value(c, &self.vars))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -432,10 +442,24 @@ impl Deserialize for RegionPlan {
         if n < 2 {
             return Err(DeError(format!("region plan chain length {n} < 2")));
         }
+        // The recorded variable list is the slot list every formula is
+        // lowered onto, so it must be duplicate-free (or a request would
+        // silently swap sizes); lowering each formula then checks that
+        // it references only these variables.
+        let vars: Vec<DimVar> = Vec::<String>::from_value(v.get_field("vars")?)?
+            .iter()
+            .map(|name| DimVar::new(name))
+            .collect();
+        let var_set: std::collections::BTreeSet<_> = vars.iter().copied().collect();
+        if var_set.len() != vars.len() {
+            return Err(DeError(
+                "region plan records duplicate variables".to_owned(),
+            ));
+        }
         let cells = match v.get_field("cells")? {
             Value::Array(items) => items
                 .iter()
-                .map(cell_from)
+                .map(|c| cell_from(c, &vars))
                 .collect::<Result<Vec<_>, DeError>>()?,
             other => return Err(DeError(format!("expected cell array, got {other:?}"))),
         };
@@ -447,68 +471,7 @@ impl Deserialize for RegionPlan {
             )));
         }
         validate_cells(n, &cells)?;
-        let vars: Vec<gmc_expr::DimVar> = Vec::<String>::from_value(v.get_field("vars")?)?
-            .iter()
-            .map(|name| gmc_expr::DimVar::new(name))
-            .collect();
-        // The recorded variable list is what binding translation maps
-        // onto, so it must be duplicate-free and cover every variable
-        // any stored formula references — otherwise a request would
-        // leave formula variables unbound (worker panic) or silently
-        // swap sizes.
-        let var_set: std::collections::BTreeSet<_> = vars.iter().copied().collect();
-        if var_set.len() != vars.len() {
-            return Err(DeError(
-                "region plan records duplicate variables".to_owned(),
-            ));
-        }
-        for cell in &cells {
-            let cands: &[Candidate] = match cell {
-                CellPlan::Resolved { cand, .. } => std::slice::from_ref(cand),
-                CellPlan::Deferred { cands, .. } => cands,
-                _ => &[],
-            };
-            for cand in cands {
-                for dim in formula_dims(&cand.formula) {
-                    if let Dim::Var(var) = dim {
-                        if !var_set.contains(&var) {
-                            return Err(DeError(format!(
-                                "formula references variable `{var}` outside the region's \
-                                 recorded variables"
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(RegionPlan {
-            n,
-            cells,
-            // Temporary names are derivable (`T<i>_<j>`), so they are
-            // rebuilt rather than stored.
-            temp_names: crate::plan::build_temp_names(n),
-            vars,
-        })
-    }
-}
-
-/// Every dimension a formula references (for load-time validation).
-fn formula_dims(f: &FlopFormula) -> Vec<Dim> {
-    match f {
-        FlopFormula::Gemm { m, k, n } => vec![*m, *k, *n],
-        FlopFormula::Level3 { m, n } | FlopFormula::Gesv { m, n } | FlopFormula::Posv { m, n } => {
-            vec![*m, *n]
-        }
-        FlopFormula::Syrk { m, k } => vec![*m, *k],
-        FlopFormula::EntryCount { r, c } | FlopFormula::TwiceEntryCount { r, c } => {
-            vec![*r, *c]
-        }
-        FlopFormula::SquareN { n }
-        | FlopFormula::TwiceSquareN { n }
-        | FlopFormula::TwiceN { n }
-        | FlopFormula::Inv { n, .. } => vec![*n],
-        FlopFormula::InvPair { m } => vec![*m],
-        FlopFormula::Zero => Vec::new(),
+        Ok(RegionPlan { n, cells, vars })
     }
 }
 
@@ -547,7 +510,7 @@ fn validate_cells(n: usize, cells: &[CellPlan]) -> Result<(), DeError> {
                 )));
             }
         }
-        for (_, r) in &cand.var_binds {
+        for r in cand.binds.iter().flatten() {
             let ok = match *r {
                 OperandRef::Factor(t) => t < n,
                 OperandRef::Temp(a, b) => {
@@ -723,9 +686,9 @@ impl PlanCache {
             };
             // Cross-checks against the structure key: the plan must
             // describe a chain of the key's length, with one variable
-            // per distinct canonical variable slot, or binding
-            // translation and factor references would index past the
-            // request chain at serve time.
+            // per distinct canonical variable slot, or formula slots and
+            // factor references would index past the request chain's
+            // values at serve time.
             let key_vars: std::collections::BTreeSet<u16> = key
                 .factors
                 .iter()

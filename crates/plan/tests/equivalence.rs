@@ -206,8 +206,9 @@ fn longer_dense_chain_with_shared_vars() {
 fn renamed_variables_share_plans_correctly() {
     // Structure keys canonicalize variable names, so A(n,m)·B(m,k)·C(k,n)
     // and A(p,q)·B(q,r)·C(r,p) share one cached plan. The cached FLOP
-    // formulas reference the *recording* chain's variables; serving the
-    // renamed chain must translate the bindings, not crash or mis-cost.
+    // formulas index the *recording* chain's variables by position;
+    // serving the renamed chain must line its variables up with them,
+    // not crash or mis-cost.
     let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
     let (n, m, k) = (Dim::var("rn_n"), Dim::var("rn_m"), Dim::var("rn_k"));
     let (p, q, r) = (Dim::var("rn_p"), Dim::var("rn_q"), Dim::var("rn_r"));
@@ -270,4 +271,113 @@ fn renamed_variables_work_across_the_plan_store() {
         .unwrap();
     assert_eq!(want.cost().to_bits(), got.cost().to_bits());
     assert_eq!(want.kernel_names(), got.kernel_names());
+}
+
+#[test]
+fn polynomial_tie_across_splits_is_ranked_numerically() {
+    // A0ᵀ A0 A2⁻¹ A2⁻¹ A2 A5, every factor n×n. Recorded at n = 50,
+    // cell (2,5) ties as a total polynomial between two splits; POSV's
+    // 1/3 coefficient makes the later split round strictly cheaper at
+    // n = 7, which is what the concrete DP picks. A plan that resolved
+    // the cell on the tie served the earlier split there.
+    let n = Dim::var("tie_n");
+    let a0 = SymOperand::square("A0", n)
+        .with_property(Property::Diagonal)
+        .unwrap();
+    let a2 = SymOperand::square("A2", n)
+        .with_property(Property::SymmetricPositiveDefinite)
+        .unwrap();
+    let a5 = SymOperand::square("A5", n)
+        .with_property(Property::Symmetric)
+        .unwrap();
+    let chain = SymChain::new(vec![
+        SymFactor::new(a0.clone(), UnaryOp::Transpose),
+        SymFactor::plain(a0),
+        SymFactor::new(a2.clone(), UnaryOp::Inverse),
+        SymFactor::new(a2.clone(), UnaryOp::Inverse),
+        SymFactor::plain(a2),
+        SymFactor::plain(a5),
+    ])
+    .unwrap();
+    let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+    let mode = InferenceMode::Compositional;
+    let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
+    let cache = PlanCache::new(registry.clone(), mode);
+    let bind = |v| DimBindings::new().with("tie_n", v);
+    let (_, outcome) = cache.solve(&chain, &bind(50)).unwrap();
+    assert_eq!(outcome, PlanOutcome::MissStructure);
+    let concrete = chain.bind(&bind(7)).unwrap();
+    let want = optimizer.solve(&concrete).unwrap();
+    assert_eq!(
+        want.parenthesization(),
+        "(A0^T (A0 ((A2^-1 (A2^-1 A2)) A5)))",
+        "the concrete optimizer's answer this test pins"
+    );
+    let (got, outcome) = cache.solve(&chain, &bind(7)).unwrap();
+    assert_eq!(outcome, PlanOutcome::Hit);
+    assert_eq!(want.cost().to_bits(), got.cost().to_bits());
+    assert_eq!(want.parenthesization(), got.parenthesization());
+    assert_eq!(want.kernel_names(), got.kernel_names());
+    // And across the rest of the region, both inference modes.
+    check_equivalent(
+        &chain,
+        &[bind(50), bind(7), bind(2), bind(3), bind(13), bind(1000)],
+    );
+}
+
+#[test]
+fn dynamic_cells_match_the_concrete_solver_fresh_and_from_the_store() {
+    // A0⁻¹ A1⁻¹ A1 A1 A1ᵀ A2ᵀ, every factor n×n, A0 and A1 symmetric,
+    // A2 lower triangular. Under compositional inference a temporary's
+    // properties depend on the split that built it, so five cells are
+    // recorded Dynamic and re-matched live on every hit, over children
+    // that the hit must materialize first.
+    let n = Dim::var("dyn_n");
+    let a0 = SymOperand::square("A0", n)
+        .with_property(Property::Symmetric)
+        .unwrap();
+    let a1 = SymOperand::square("A1", n)
+        .with_property(Property::Symmetric)
+        .unwrap();
+    let a2 = SymOperand::square("A2", n)
+        .with_property(Property::LowerTriangular)
+        .unwrap();
+    let chain = SymChain::new(vec![
+        SymFactor::new(a0, UnaryOp::Inverse),
+        SymFactor::new(a1.clone(), UnaryOp::Inverse),
+        SymFactor::plain(a1.clone()),
+        SymFactor::plain(a1.clone()),
+        SymFactor::new(a1, UnaryOp::Transpose),
+        SymFactor::new(a2, UnaryOp::Transpose),
+    ])
+    .unwrap();
+    let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+    let mode = InferenceMode::Compositional;
+    let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
+    let bind = |v| DimBindings::new().with("dyn_n", v);
+    let sizes = [50, 2, 3, 7, 64, 999];
+
+    let fresh = PlanCache::new(registry.clone(), mode);
+    fresh.solve(&chain, &bind(50)).unwrap();
+    let summary = fresh.region_summary(&chain, &bind(50)).unwrap();
+    assert!(
+        summary.dynamic > 0,
+        "the chain must record dynamic cells: {summary}"
+    );
+    assert!(summary.deferred > 0, "and deferred ones: {summary}");
+
+    let loaded = PlanCache::new(registry.clone(), mode);
+    assert!(loaded.load_snapshot_json(&fresh.snapshot_json()).unwrap() > 0);
+    for (label, cache) in [("fresh", &fresh), ("loaded", &loaded)] {
+        for v in sizes {
+            let want = optimizer.solve(&chain.bind(&bind(v)).unwrap()).unwrap();
+            let (got, outcome) = cache.solve(&chain, &bind(v)).unwrap();
+            assert_eq!(outcome, PlanOutcome::Hit, "{label} n={v}");
+            assert_eq!(want.cost().to_bits(), got.cost().to_bits(), "{label} n={v}");
+            assert_eq!(want.parenthesization(), got.parenthesization(), "{label}");
+            assert_eq!(want.kernel_names(), got.kernel_names(), "{label} n={v}");
+            assert_eq!(want.flops().to_bits(), got.flops().to_bits(), "{label}");
+        }
+    }
+    check_equivalent(&chain, &sizes.map(bind));
 }

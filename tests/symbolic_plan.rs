@@ -4,7 +4,7 @@
 
 use gmc::{FlopCount, GmcOptimizer, InferenceMode};
 use gmc_codegen::emit_size_generic_rust;
-use gmc_expr::DimBindings;
+use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_frontend::{parse, render_problem};
 use gmc_kernels::KernelRegistry;
 use gmc_plan::{PlanCache, PlanOutcome};
@@ -157,4 +157,85 @@ fn deep_inference_plans_are_cached_independently() {
         }
         assert_eq!(cache.stats().hits, 1, "{mode:?}");
     }
+}
+
+#[test]
+fn length_32_chain_matches_concrete_and_mcp_optimum_across_ladders() {
+    // The dense 32-factor chain `M0 ⋯ M31` with 33 distinct boundary
+    // variables: nearly every interior cell is deferred, so a hit ranks
+    // thousands of candidates. Each ladder (an ordering of the boundary
+    // sizes) is its own region; a renamed twin of the chain shares its
+    // structure key and is served from the first chain's regions.
+    let n = 32;
+    let chain = gmc_bench::symbolic_length_chain(n);
+    let twin = SymChain::new(
+        (0..n)
+            .map(|i| {
+                SymFactor::plain(SymOperand::new(
+                    format!("N{i}"),
+                    Dim::var(&format!("len32_e{i}")),
+                    Dim::var(&format!("len32_e{}", i + 1)),
+                ))
+            })
+            .collect(),
+    )
+    .unwrap();
+    let mode = InferenceMode::Compositional;
+    assert_eq!(
+        gmc_plan::structure_key(&chain, mode),
+        gmc_plan::structure_key(&twin, mode)
+    );
+    let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+    let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
+    let cache = PlanCache::new(registry.clone(), mode);
+
+    let mut state = 0x5eed_u64;
+    let mut shuffled: Vec<usize> = (0..=n).map(|i| 40 + 9 * i).collect();
+    for i in (1..shuffled.len()).rev() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        shuffled.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let ladders: Vec<Vec<usize>> = vec![
+        (0..=n).map(|i| 100 + 50 * i).collect(),
+        (0..=n).map(|i| 100 + 50 * (n - i)).collect(),
+        (0..=n)
+            .map(|i| if i % 2 == 0 { 30 + i } else { 400 - i })
+            .collect(),
+        (0..=n).map(|i| 10 * (i % 5 + 1)).collect(),
+        shuffled,
+    ];
+    let bind = |prefix: &str, sizes: &[usize]| {
+        let mut b = DimBindings::new();
+        for (i, &v) in sizes.iter().enumerate() {
+            b.set(&format!("{prefix}{i}"), v);
+        }
+        b
+    };
+    for ladder in &ladders {
+        cache.solve(&chain, &bind("d", ladder)).unwrap();
+        // Scaling every size keeps the ordering, so these are hits.
+        for (scale, served, prefix) in [(1, &chain, "d"), (3, &chain, "d"), (7, &twin, "len32_e")] {
+            let sizes: Vec<usize> = ladder.iter().map(|v| v * scale).collect();
+            let bindings = bind(prefix, &sizes);
+            let (got, outcome) = cache.solve(served, &bindings).unwrap();
+            assert_eq!(outcome, PlanOutcome::Hit, "{prefix} ×{scale}");
+            let want = optimizer.solve(&served.bind(&bindings).unwrap()).unwrap();
+            assert_eq!(
+                want.cost().to_bits(),
+                got.cost().to_bits(),
+                "{ladder:?} ×{scale}"
+            );
+            assert_eq!(want.parenthesization(), got.parenthesization());
+            assert_eq!(want.kernel_names(), got.kernel_names());
+            let optimum = gmc::mcp::matrix_chain_order(&sizes).flops();
+            assert_eq!(
+                optimum.to_bits(),
+                got.cost().to_bits(),
+                "{ladder:?} ×{scale}"
+            );
+        }
+    }
+    assert_eq!(cache.stats().hits, 3 * ladders.len() as u64);
 }
