@@ -12,7 +12,9 @@
 //! full, new label combinations all share one reserved overflow series
 //! whose every label value is `"other"`, and the registry counts the
 //! spill in its own `gmc.obs.label.overflow` counter — a hostile or
-//! buggy client can never grow metrics memory without bound.
+//! buggy client can never grow metrics memory without bound. A label
+//! set that is itself all `"other"` resolves to that same overflow
+//! series, so the two can never render as one duplicated series.
 //!
 //! Scrape with [`MetricsRegistry::render_into`], which copies every
 //! live instrument into a [`crate::Exposition`].
@@ -28,6 +30,9 @@ pub const DEFAULT_SERIES_CAP: usize = 64;
 
 /// Name of the registry's own overflow counter (spilled label sets).
 pub const OVERFLOW_COUNTER: &str = "gmc.obs.label.overflow";
+
+/// The label value of every label of a family's overflow series.
+pub const OVERFLOW_LABEL: &str = "other";
 
 /// A monotone counter handle. Clones share the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -201,6 +206,9 @@ impl MetricsRegistry {
             family.label_names, label_names,
             "metric {name} registered with two label-name sets"
         );
+        if !values.is_empty() && values.iter().all(|v| v == OVERFLOW_LABEL) {
+            return family.overflow.get_or_insert_with(make).clone();
+        }
         if let Some(existing) = family.series.get(&values) {
             return existing.clone();
         }
@@ -242,7 +250,7 @@ impl MetricsRegistry {
                 let values: Vec<String> = family
                     .label_names
                     .iter()
-                    .map(|_| "other".to_owned())
+                    .map(|_| OVERFLOW_LABEL.to_owned())
                     .collect();
                 emit(expo, &values, overflow);
             }
@@ -308,6 +316,39 @@ mod tests {
         let text = expo.render();
         assert!(text.contains("c_total{k=\"other\"} 10"), "{text}");
         assert!(text.contains("gmc_obs_label_overflow 10"), "{text}");
+    }
+
+    #[test]
+    fn explicit_other_labels_share_the_overflow_series() {
+        let reg = MetricsRegistry::new();
+        let explicit = reg.counter("c.total", "c", &[("k", "other")]);
+        explicit.add(2);
+        for i in 0..=DEFAULT_SERIES_CAP {
+            reg.counter("c.total", "c", &[("k", &format!("v{i}"))])
+                .inc();
+        }
+        // The one spilled registration and the explicit `other` share
+        // one instrument, which renders once with both counts.
+        assert_eq!(explicit.get(), 3);
+        assert_eq!(reg.spilled(), 1);
+        let mut expo = Exposition::new();
+        reg.render_into(&mut expo);
+        let text = expo.render();
+        let other: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("c_total{k=\"other\"}"))
+            .collect();
+        assert_eq!(other, ["c_total{k=\"other\"} 3"], "{text}");
+        // Below the cap, an explicit `other` is still the overflow
+        // series: the family's named series are untouched by it.
+        let reg = MetricsRegistry::new();
+        reg.counter("d.total", "d", &[("k", "other")]).inc();
+        reg.counter("d.total", "d", &[("k", "v")]).inc();
+        let mut expo = Exposition::new();
+        reg.render_into(&mut expo);
+        let text = expo.render();
+        assert!(text.contains("d_total{k=\"other\"} 1"), "{text}");
+        assert!(text.contains("d_total{k=\"v\"} 1"), "{text}");
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!   present after acquiring the mutex and serves it as a hit — the
 //!   recording is coalesced, never duplicated, and no update is lost.
 
-use crate::key::{region_signature, structure_key, StructureKey};
+use crate::key::{region_signature, structure_key, PreparedKey, StructureKey};
 use crate::plan::{instantiate, record_region, PlanSummary, PlanWorkspace, RegionPlan};
 use gmc::{GmcError, GmcSolution, InferenceMode};
-use gmc_expr::{Dim, DimBindings, SymChain, SymChainError};
+use gmc_expr::{Chain, Dim, DimBindings, DimVar, SymChain, SymChainError};
 use gmc_kernels::{FlatTermScratch, KernelRegistry};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -130,8 +130,9 @@ pub struct ShardStats {
 /// Nanosecond timing of one [`PlanCache::solve_traced`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveTiming {
-    /// Time locating the cached region: binding, structure keying,
-    /// snapshot reads and (on the slow path) the write-mutex wait.
+    /// Time locating the cached region: binding, snapshot reads and
+    /// (on the slow path) the write-mutex wait, plus structure keying
+    /// on the unkeyed [`PlanCache::solve_traced`].
     pub lookup_ns: u64,
     /// Time instantiating the cached plan or recording a new one.
     pub work_ns: u64,
@@ -442,11 +443,26 @@ impl PlanCache {
         &self.shards[(hasher.finish() as usize) % SHARDS]
     }
 
+    /// Everything the cache derives from `chain`'s structure: its
+    /// structure key under this cache's inference mode and its
+    /// variables in first-occurrence order. Prepare a chain once and
+    /// pass the key to [`PlanCache::solve_keyed`] on every request.
+    pub fn prepare(&self, chain: &SymChain) -> PreparedKey {
+        PreparedKey {
+            key: structure_key(chain, self.inference),
+            vars: chain.vars(),
+        }
+    }
+
     /// The cached plan for a chain structure, if any (a snapshot:
     /// regions recorded later do not appear in it).
     pub fn plan_for(&self, chain: &SymChain) -> Option<Arc<SymbolicPlan>> {
-        let key = structure_key(chain, self.inference);
-        self.shard_for(&key).snapshot().get(&key).cloned()
+        self.plan_keyed(&self.prepare(chain))
+    }
+
+    /// [`PlanCache::plan_for`] by a prepared key.
+    pub fn plan_keyed(&self, key: &PreparedKey) -> Option<Arc<SymbolicPlan>> {
+        self.shard_for(&key.key).snapshot().get(&key.key).cloned()
     }
 
     /// Every cached structure, as `(key, plan)` snapshots.
@@ -513,7 +529,8 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
     ) -> Result<(GmcSolution<f64>, PlanOutcome), PlanError> {
-        self.solve_impl(chain, bindings, None)
+        let sig = region_signature(&chain.bind_dims(bindings)?);
+        self.solve_core(&self.prepare(chain), chain, bindings, &sig, None)
             .map(|(solution, outcome, _)| (solution, outcome))
     }
 
@@ -526,29 +543,60 @@ impl PlanCache {
         chain: &SymChain,
         bindings: &DimBindings,
     ) -> Result<(GmcSolution<f64>, PlanOutcome, SolveTiming), PlanError> {
-        self.solve_impl(chain, bindings, Some(Instant::now()))
+        let started = Instant::now();
+        let sig = region_signature(&chain.bind_dims(bindings)?);
+        self.solve_core(&self.prepare(chain), chain, bindings, &sig, Some(started))
     }
 
-    fn solve_impl(
+    /// [`PlanCache::solve_traced`] for a chain prepared up front: `key`
+    /// is [`PlanCache::prepare`]`(chain)` and `sig` the
+    /// [`region_signature`] of `chain` bound at `bindings`, both
+    /// computed by the caller (a server keys at registration and signs
+    /// while grouping), so the call neither re-keys nor re-signs.
+    ///
+    /// # Errors
+    ///
+    /// As [`PlanCache::solve`].
+    pub fn solve_keyed(
         &self,
+        key: &PreparedKey,
         chain: &SymChain,
         bindings: &DimBindings,
+        sig: &[i8],
+    ) -> Result<(GmcSolution<f64>, PlanOutcome, SolveTiming), PlanError> {
+        debug_assert_eq!(*key, self.prepare(chain), "key prepared for another chain");
+        self.solve_core(key, chain, bindings, sig, Some(Instant::now()))
+    }
+
+    /// The keyed core every solve path funnels into.
+    fn solve_core(
+        &self,
+        key: &PreparedKey,
+        chain: &SymChain,
+        bindings: &DimBindings,
+        sig: &[i8],
         started: Option<Instant>,
     ) -> Result<(GmcSolution<f64>, PlanOutcome, SolveTiming), PlanError> {
-        let concrete = chain.bind(bindings)?;
-        let key = structure_key(chain, self.inference);
-        let sig = region_signature(&concrete.sizes());
-        let shard = self.shard_for(&key);
+        let concrete = &chain.bind(bindings)?;
+        debug_assert_eq!(
+            sig,
+            region_signature(&concrete.sizes()),
+            "signature mismatch"
+        );
+        let shard = self.shard_for(&key.key);
+        let hit = |plan: &SymbolicPlan, region: &RegionPlan| {
+            shard.hits.fetch_add(1, Ordering::Relaxed);
+            plan.counters.hits.fetch_add(1, Ordering::Relaxed);
+            let lookup_done = started.map(|_| Instant::now());
+            let solution = self.instantiate_region(region, &key.vars, concrete, bindings)?;
+            Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)))
+        };
 
         // Fast path: hit on the immutable snapshot — a pure read.
         let snapshot = shard.snapshot();
-        if let Some(plan) = snapshot.get(&key) {
-            if let Some(region) = plan.regions.get(&sig) {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                plan.counters.hits.fetch_add(1, Ordering::Relaxed);
-                let lookup_done = started.map(|_| Instant::now());
-                let solution = self.instantiate_region(region, chain, &concrete, bindings)?;
-                return Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)));
+        if let Some(plan) = snapshot.get(&key.key) {
+            if let Some(region) = plan.regions.get(sig) {
+                return hit(plan, region);
             }
         }
         drop(snapshot);
@@ -556,26 +604,29 @@ impl PlanCache {
         // Slow path: record behind the shard's write mutex.
         let guard = mutex_lock(&shard.write);
         let snapshot = shard.snapshot();
-        let structure_known = snapshot.contains_key(&key);
-        if let Some(plan) = snapshot.get(&key) {
-            if let Some(region) = plan.regions.get(&sig) {
+        let structure_known = snapshot.contains_key(&key.key);
+        if let Some(plan) = snapshot.get(&key.key) {
+            if let Some(region) = plan.regions.get(sig) {
                 // Another thread recorded this region while we waited:
                 // the recording coalesced, serve it as a hit.
                 drop(guard);
-                shard.hits.fetch_add(1, Ordering::Relaxed);
                 shard.coalesced_waiters.fetch_add(1, Ordering::Relaxed);
-                plan.counters.hits.fetch_add(1, Ordering::Relaxed);
-                let lookup_done = started.map(|_| Instant::now());
-                let solution = self.instantiate_region(region, chain, &concrete, bindings)?;
-                return Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)));
+                return hit(plan, region);
             }
         }
 
         let lookup_done = started.map(|_| Instant::now());
         let (region, solution) = with_scratch(|scratch, _| {
-            record_region(&self.registry, self.inference, chain, &concrete, scratch)
+            record_region(
+                &self.registry,
+                self.inference,
+                chain,
+                &key.vars,
+                concrete,
+                scratch,
+            )
         });
-        let counters = shard.publish(key, sig, Arc::new(region));
+        let counters = shard.publish(key.key.clone(), sig.to_vec(), Arc::new(region));
         counters.misses.fetch_add(1, Ordering::Relaxed);
         drop(guard);
         let outcome = if structure_known {
@@ -591,18 +642,17 @@ impl PlanCache {
     fn instantiate_region(
         &self,
         region: &RegionPlan,
-        sym: &SymChain,
-        concrete: &gmc_expr::Chain,
+        vars: &[DimVar],
+        concrete: &Chain,
         bindings: &DimBindings,
     ) -> Result<GmcSolution<f64>, GmcError> {
         // The region's lowered formulas index its variables in
         // first-occurrence order. Structure keys canonicalize variable
         // *names*, so the request chain's own first-occurrence variables
         // line up with them by position, whatever they are called.
-        let values: Vec<usize> = sym
-            .vars()
-            .into_iter()
-            .map(|var| {
+        let values: Vec<usize> = vars
+            .iter()
+            .map(|&var| {
                 bindings
                     .get(var)
                     .expect("the request chain bound successfully, so its variables are bound")
@@ -652,7 +702,8 @@ impl PlanCache {
                 MAX_ENUMERATION_FACTORS
             )));
         }
-        let vars = chain.vars();
+        let prepared = self.prepare(chain);
+        let vars = &prepared.vars;
         let consts: BTreeSet<usize> = chain
             .dims()
             .iter()
@@ -684,8 +735,7 @@ impl PlanCache {
                 ))
             })?;
 
-        let key = structure_key(chain, self.inference);
-        let shard = self.shard_for(&key);
+        let shard = self.shard_for(&prepared.key);
         let mut recorded = 0usize;
         let mut seen: BTreeSet<Vec<i8>> = BTreeSet::new();
         // Odometer over value indices, one digit per variable.
@@ -701,16 +751,23 @@ impl PlanCache {
                 let guard = mutex_lock(&shard.write);
                 let known = shard
                     .snapshot()
-                    .get(&key)
+                    .get(&prepared.key)
                     .is_some_and(|p| p.regions.contains_key(&sig));
                 if !known {
                     let concrete = chain.bind(&bindings)?;
                     // Unsolvable regions are recorded too: the cached
                     // plan *is* the (negative) answer.
                     let (region, _solution) = with_scratch(|scratch, _| {
-                        record_region(&self.registry, self.inference, chain, &concrete, scratch)
+                        record_region(
+                            &self.registry,
+                            self.inference,
+                            chain,
+                            vars,
+                            &concrete,
+                            scratch,
+                        )
                     });
-                    shard.publish(key.clone(), sig, Arc::new(region));
+                    shard.publish(prepared.key.clone(), sig, Arc::new(region));
                     recorded += 1;
                 }
                 drop(guard);

@@ -49,6 +49,27 @@ pub struct StructureKey {
     pub(crate) factors: Vec<FactorSig>,
 }
 
+/// A chain's structure key together with its dimension variables in
+/// first-occurrence order: everything the cache derives from a chain's
+/// structure rather than from its sizes. Only
+/// [`PlanCache::prepare`](crate::PlanCache::prepare) builds one, under
+/// that cache's inference mode, so a caller that prepares a chain once
+/// (at registration) serves every later request for it without
+/// re-keying — see [`PlanCache::solve_keyed`](crate::PlanCache::solve_keyed).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PreparedKey {
+    pub(crate) key: StructureKey,
+    pub(crate) vars: Vec<DimVar>,
+}
+
+impl PreparedKey {
+    /// The chain's dimension variables, in first-occurrence order (the
+    /// slots of a region plan's lowered formulas).
+    pub fn vars(&self) -> &[DimVar] {
+        &self.vars
+    }
+}
+
 /// The bitset encoding of a property set — also the persisted form in
 /// the plan store, so key and snapshot can never diverge.
 pub(crate) fn props_bits(ps: PropertySet) -> u16 {

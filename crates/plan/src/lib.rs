@@ -84,5 +84,7 @@ pub mod sync;
 pub use cache::{
     CacheStats, PlanCache, PlanError, PlanOutcome, ShardStats, SolveTiming, SymbolicPlan,
 };
-pub use key::{region_signature, structure_key, undecided_shape_questions, StructureKey};
+pub use key::{
+    region_signature, structure_key, undecided_shape_questions, PreparedKey, StructureKey,
+};
 pub use plan::{PlanSummary, RegionPlan};

@@ -584,19 +584,20 @@ impl Lifted {
     }
 }
 
-/// Records the region plan for `chain` (the concrete binding of `sym`)
-/// and returns it together with the solve result.
+/// Records the region plan for `chain` (the concrete binding of `sym`,
+/// whose variables in first-occurrence order are `vars`) and returns it
+/// together with the solve result.
 pub(crate) fn record_region(
     registry: &KernelRegistry,
     inference: InferenceMode,
     sym: &SymChain,
+    vars: &[DimVar],
     chain: &Chain,
     scratch: &mut FlatTermScratch,
 ) -> (RegionPlan, Result<GmcSolution<f64>, GmcError>) {
     let n = chain.len();
     let len = n * (n + 1) / 2;
     let dims = sym.dims();
-    let vars = sym.vars();
     let mut solved = Solved::new(n);
     solved.seed_leaves(chain);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
@@ -726,7 +727,7 @@ pub(crate) fn record_region(
                             k: c.k,
                             kernel_idx: c.kernel_idx,
                             specificity: c.spec,
-                            formula: lower(&formula, &vars)
+                            formula: lower(&formula, vars)
                                 .expect("chain formulas only reference chain variables"),
                             binds: c.binds,
                         },
@@ -840,7 +841,7 @@ pub(crate) fn record_region(
         RegionPlan {
             n,
             cells: plan_cells,
-            vars,
+            vars: vars.to_vec(),
         },
         solution,
     )

@@ -60,15 +60,17 @@ pub use gmc_obs::trace::{Span, Trace, TRACE_FORMAT};
 use admission::{AdmissionGate, Permit};
 use faults::FAULT_PANIC_MARKER;
 use gmc::{GmcSolution, InferenceMode};
-use gmc_expr::{DimBindings, SymChain};
+use gmc_expr::{DimBindings, DimVar, SymChain};
 use gmc_kernels::KernelRegistry;
-use gmc_obs::trace::SlowTraceRing;
-use gmc_obs::{Histogram, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
-use gmc_plan::{region_signature, CacheStats, PlanCache, PlanError, PlanOutcome, SolveTiming};
+use gmc_obs::{HistogramSnapshot, LatencyHistogram};
+use gmc_plan::{
+    region_signature, CacheStats, PlanCache, PlanError, PlanOutcome, PreparedKey, SolveTiming,
+};
+use metrics::ObsLayer;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -243,7 +245,10 @@ pub struct ServeReply {
     pub result: Result<Served, ServeError>,
 }
 
-/// Cumulative serving counters.
+/// Cumulative serving counters: one snapshot over every owner of a
+/// serve fact (the plan cache, the metrics registry, the served-counter
+/// seqlock, the registered structures). `STATS` renders it as JSON;
+/// `METRICS` renders the same owners as a Prometheus exposition.
 #[derive(Clone, Debug, Default)]
 pub struct ServerStats {
     /// The shared plan cache's hit/miss counters. These count cache
@@ -252,9 +257,10 @@ pub struct ServerStats {
     /// `served.completed`.
     pub cache: CacheStats,
     /// Requests answered from another in-flight request's instantiate
-    /// (identical structure, region and bindings in one batch).
+    /// (identical structure, region and bindings in one batch); the
+    /// `gmc.serve.coalesced` counter.
     pub coalesced: u64,
-    /// Batches dispatched to workers.
+    /// Batches dispatched to workers; the `gmc.serve.batches` counter.
     pub batches: u64,
     /// Registered structures.
     pub structures: usize,
@@ -262,11 +268,14 @@ pub struct ServerStats {
     /// snapshot: `hits + misses + failed == completed` holds in every
     /// reading, even mid-burst.
     pub served: ServedCounters,
-    /// Latency histogram snapshots (enqueue→complete and
-    /// enqueue→dispatch, plus per-(structure, hit/miss) classes).
+    /// Latency histogram snapshots: `total`, `queue` and `expired`
+    /// scopes, per-(structure, hit/miss) classes and per-stage spans.
+    /// Read before `served`, so no histogram count exceeds
+    /// `served.completed`.
     pub latency: LatencySnapshot,
     /// Worker-pool supervision counters (panics, respawns, live
-    /// workers).
+    /// workers): the `gmc.serve.worker.*` and `gmc.serve.workers.alive`
+    /// instruments.
     pub supervision: SupervisionStats,
 }
 
@@ -462,17 +471,25 @@ impl CounterCell {
 /// Latency snapshots of a running server.
 #[derive(Clone, Debug, Default)]
 pub struct LatencySnapshot {
-    /// Enqueue→complete latency of every worker-completed request.
+    /// Enqueue→complete latency of every worker-completed request: the
+    /// sum of its first six [`STAGES`] spans (`admit` through `solve`).
+    /// Recorded after the request's served-counter update, so its count
+    /// never runs ahead of [`ServedCounters::completed`].
     pub total: HistogramSnapshot,
-    /// Enqueue→dispatch (queueing) latency of the same requests.
+    /// Enqueue→dispatch (queueing) latency of the same requests: the
+    /// sum of their `admit`, `queue` and `group` spans, recorded with
+    /// `total`.
     pub queue: HistogramSnapshot,
     /// Enqueue→shed latency of deadline-expired requests (they never
     /// reach a worker, so they appear here instead of `total`).
     pub expired: HistogramSnapshot,
-    /// Per-(structure, hit/miss) enqueue→complete histograms, sorted
-    /// by structure name then class for deterministic rendering. At
-    /// most [`MAX_LATENCY_CLASSES`] distinct structures are tracked;
-    /// the excess shares one `other` entry.
+    /// Per-(structure, hit/miss) enqueue→complete histograms of the
+    /// successful completions, sorted by structure name then class,
+    /// empty classes omitted. Each registered name owns one hit/miss
+    /// pair, fixed at [`Server::register`] and kept across
+    /// re-registration; past [`MAX_LATENCY_CLASSES`] names — and for a
+    /// structure itself named `other` — requests share the one
+    /// `other` pair.
     pub classes: Vec<ClassLatency>,
     /// Per-stage span histograms in [`STAGES`] order, recorded once
     /// per completed request.
@@ -499,7 +516,7 @@ pub struct ClassLatency {
     pub snapshot: HistogramSnapshot,
 }
 
-/// Per-structure hit/miss histograms (enqueue→complete).
+/// One structure name's hit/miss histograms (enqueue→complete).
 #[derive(Debug, Default)]
 struct ClassHists {
     hit: LatencyHistogram,
@@ -512,83 +529,23 @@ struct ClassHists {
 /// beyond the cap all record into one shared `other` class.
 pub const MAX_LATENCY_CLASSES: usize = 64;
 
-/// The server-wide latency recording layer.
-#[derive(Debug, Default)]
-struct LatencyBook {
-    total: LatencyHistogram,
-    queue: LatencyHistogram,
-    expired: LatencyHistogram,
-    classes: RwLock<HashMap<String, Arc<ClassHists>>>,
-    /// The shared overflow class once `classes` holds
-    /// [`MAX_LATENCY_CLASSES`] structures. Kept outside the map so it
-    /// is reported once (as structure `other`) and never double
-    /// counted.
-    other: Arc<ClassHists>,
-    /// Class lookups funneled into `other`.
-    class_overflow: AtomicU64,
-}
+/// Label value of the shared overflow class (and of the aggregate
+/// `gmc.cache.structure.*` series).
+const OTHER: &str = "other";
 
-impl LatencyBook {
-    /// The histogram pair for `structure`, creating it on first use
-    /// (registration pre-creates it; this covers re-registration
-    /// races). Once [`MAX_LATENCY_CLASSES`] structures are tracked,
-    /// further structures share the `other` class.
-    fn class(&self, structure: &str) -> Arc<ClassHists> {
-        if let Some(h) = read_lock(&self.classes).get(structure) {
-            return Arc::clone(h);
-        }
-        let mut map = write_lock(&self.classes);
-        if let Some(h) = map.get(structure) {
-            return Arc::clone(h);
-        }
-        if map.len() >= MAX_LATENCY_CLASSES {
-            self.class_overflow.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&self.other);
-        }
-        Arc::clone(map.entry(structure.to_owned()).or_default())
-    }
-
-    /// Class lookups that funneled into the shared `other` class.
-    fn overflowed(&self) -> u64 {
-        self.class_overflow.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> LatencySnapshot {
-        let mut classes: Vec<ClassLatency> = Vec::new();
-        {
-            let map = read_lock(&self.classes);
-            for (name, hists) in map.iter() {
-                for (hit, h) in [(true, &hists.hit), (false, &hists.miss)] {
-                    let snapshot = h.snapshot();
-                    if !snapshot.is_empty() {
-                        classes.push(ClassLatency {
-                            structure: name.clone(),
-                            hit,
-                            snapshot,
-                        });
-                    }
-                }
-            }
-        }
-        for (hit, h) in [(true, &self.other.hit), (false, &self.other.miss)] {
-            let snapshot = h.snapshot();
-            if !snapshot.is_empty() {
-                classes.push(ClassLatency {
-                    structure: "other".to_owned(),
-                    hit,
-                    snapshot,
-                });
-            }
-        }
-        classes.sort_by(|a, b| (&a.structure, !a.hit).cmp(&(&b.structure, !b.hit)));
-        LatencySnapshot {
-            total: self.total.snapshot(),
-            queue: self.queue.snapshot(),
-            expired: self.expired.snapshot(),
-            classes,
-            stages: Vec::new(),
-        }
-    }
+/// One registered structure: everything [`Server::register`] fixes
+/// once, so a request for it only pays for its sizes.
+#[derive(Debug)]
+struct Registration {
+    chain: SymChain,
+    /// The chain's structure key and first-occurrence variables.
+    key: PreparedKey,
+    /// This name's latency pair, or the shared `other` pair.
+    classes: Arc<ClassHists>,
+    /// Whether the name got the shared pair because the class cap was
+    /// reached: each of its successful requests then counts into
+    /// `gmc.serve.class.overflow`.
+    overflowed: bool,
 }
 
 /// Nanoseconds between two instants, saturating into `u64`.
@@ -616,93 +573,21 @@ impl Ticket {
     }
 }
 
-/// The observability layer behind [`Shared`]: the live metrics
-/// registry (which owns the per-stage histograms), the slow-trace
-/// ring, and the trace-id counter. Everything else the `METRICS`
-/// exposition reports is copied from authoritative snapshots at scrape
-/// time, so the hot path never writes a counter twice.
-struct ObsLayer {
-    registry: MetricsRegistry,
-    /// Per-stage span histograms, in [`STAGES`] order (live handles
-    /// onto the registry's `gmc.serve.stage.latency.ns` family).
-    stages: [Histogram; STAGES.len()],
-    /// The N slowest completed traces.
-    ring: SlowTraceRing,
-    trace_ids: AtomicU64,
-}
-
-impl ObsLayer {
-    fn new(slow_trace_capacity: usize) -> ObsLayer {
-        let registry = MetricsRegistry::new();
-        let stages = STAGES.map(|stage| {
-            registry.histogram(
-                "gmc.serve.stage.latency.ns",
-                "Per-stage request span duration in nanoseconds",
-                &[("stage", stage)],
-            )
-        });
-        ObsLayer {
-            registry,
-            stages,
-            ring: SlowTraceRing::new(slow_trace_capacity),
-            trace_ids: AtomicU64::new(0),
-        }
-    }
-
-    fn next_trace_id(&self) -> u64 {
-        self.trace_ids.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Snapshots of the per-stage histograms, in [`STAGES`] order.
-    fn stage_snapshots(&self) -> Vec<StageLatency> {
-        STAGES
-            .iter()
-            .zip(&self.stages)
-            .map(|(stage, h)| StageLatency {
-                stage,
-                snapshot: h.snapshot(),
-            })
-            .collect()
-    }
-}
-
 struct Shared {
     cache: PlanCache,
-    structures: RwLock<HashMap<String, Arc<SymChain>>>,
-    coalesced: AtomicU64,
-    batches: AtomicU64,
+    structures: RwLock<HashMap<String, Arc<Registration>>>,
+    /// The latency pair shared past [`MAX_LATENCY_CLASSES`] names.
+    other_classes: Arc<ClassHists>,
     served: CounterCell,
-    latency: LatencyBook,
     gate: Arc<AdmissionGate>,
-    supervision: SupervisionCell,
     obs: ObsLayer,
-}
-
-/// Supervision counters behind [`Shared`]; updated only by the
-/// supervisor thread, read by any stats snapshot.
-#[derive(Debug, Default)]
-struct SupervisionCell {
-    worker_panics: AtomicU64,
-    respawns: AtomicU64,
-    workers_alive: AtomicUsize,
-}
-
-impl SupervisionCell {
-    fn snapshot(&self) -> SupervisionStats {
-        SupervisionStats {
-            worker_panics: self.worker_panics.load(Ordering::SeqCst),
-            respawns: self.respawns.load(Ordering::SeqCst),
-            workers_alive: self.workers_alive.load(Ordering::SeqCst),
-        }
-    }
 }
 
 use gmc_plan::sync::{mutex_lock, read_lock, write_lock};
 
 /// Builds concrete bindings from string-named sizes using only the
 /// chain's own (already interned) variables.
-fn bind_named_vars(chain: &SymChain, vars: &[(String, usize)]) -> Result<DimBindings, String> {
-    let vocabulary = chain.vars();
+fn bind_named_vars(vocabulary: &[DimVar], vars: &[(String, usize)]) -> Result<DimBindings, String> {
     let mut bindings = DimBindings::new();
     for (name, value) in vars {
         match vocabulary.iter().find(|v| v.name() == name) {
@@ -719,17 +604,61 @@ fn bind_named_vars(chain: &SymChain, vars: &[(String, usize)]) -> Result<DimBind
 
 impl Shared {
     fn stats(&self) -> ServerStats {
-        let mut latency = self.latency.snapshot();
-        latency.stages = self.obs.stage_snapshots();
+        let obs = &self.obs;
+        // Histograms first: workers record them after the served
+        // counters, so read in this order no count exceeds `completed`.
+        let latency = LatencySnapshot {
+            total: obs.total.snapshot(),
+            queue: obs.queue.snapshot(),
+            expired: obs.expired.snapshot(),
+            classes: self.class_latencies(),
+            stages: STAGES
+                .iter()
+                .zip(&obs.stages)
+                .map(|(stage, h)| StageLatency {
+                    stage,
+                    snapshot: h.snapshot(),
+                })
+                .collect(),
+        };
         ServerStats {
             cache: self.cache.stats(),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            coalesced: obs.coalesced.get(),
+            batches: obs.batches.get(),
             structures: read_lock(&self.structures).len(),
             served: self.served.snapshot(),
             latency,
-            supervision: self.supervision.snapshot(),
+            supervision: SupervisionStats {
+                worker_panics: obs.worker_panics.get(),
+                respawns: obs.respawns.get(),
+                workers_alive: obs.workers_alive.get() as usize,
+            },
         }
+    }
+
+    /// The non-empty latency classes: each name's own pair, then the
+    /// shared `other` pair once, sorted by structure then class.
+    fn class_latencies(&self) -> Vec<ClassLatency> {
+        let structures = read_lock(&self.structures);
+        let own = structures
+            .iter()
+            .filter(|(_, r)| !Arc::ptr_eq(&r.classes, &self.other_classes))
+            .map(|(name, r)| (name.as_str(), &*r.classes));
+        let mut classes = Vec::new();
+        for (name, pair) in own.chain([(OTHER, &*self.other_classes)]) {
+            for (hit, h) in [(true, &pair.hit), (false, &pair.miss)] {
+                let snapshot = h.snapshot();
+                if !snapshot.is_empty() {
+                    classes.push(ClassLatency {
+                        structure: name.to_owned(),
+                        hit,
+                        snapshot,
+                    });
+                }
+            }
+        }
+        classes.sort_by(|a, b| (&a.structure, !a.hit).cmp(&(&b.structure, !b.hit)));
+        classes
     }
 }
 
@@ -764,22 +693,11 @@ impl RequestOptions {
 
 /// One parsed request on its way to the dispatcher.
 struct Request {
-    name: String,
-    chain: Arc<SymChain>,
+    registration: Arc<Registration>,
     bindings: DimBindings,
-    reply: Sender<ServeReply>,
-    /// When the submission call started (trace origin).
-    enqueued: Instant,
-    /// When the request was handed to the dispatcher (end of the
-    /// `admit` span: admission + parse done).
-    submitted: Instant,
-    /// Monotone per-server trace id.
-    trace_id: u64,
     /// Deadline/fault options.
     options: RequestOptions,
-    /// The admission slot; released (dropped) right before the reply
-    /// is sent.
-    permit: Permit,
+    slot: ReplySlot,
 }
 
 enum Incoming {
@@ -789,7 +707,9 @@ enum Incoming {
 
 enum Job {
     Batch {
-        chain: Arc<SymChain>,
+        registration: Arc<Registration>,
+        /// The region signature every item of the job binds into.
+        sig: Vec<i8>,
         items: Vec<BatchItem>,
         /// When the dispatcher started grouping the round this job
         /// came from (end of the `queue` span).
@@ -811,15 +731,20 @@ struct BatchItem {
     fault: Option<SolveFault>,
 }
 
-/// One pending reply of a coalesced batch item, with the timestamps it
-/// was enqueued/submitted at (each coalesced request keeps its own
-/// latency and trace).
+/// One admitted request's pending reply, with the timestamps it was
+/// enqueued/submitted at (each coalesced request keeps its own latency
+/// and trace).
 struct ReplySlot {
     name: String,
+    /// When the submission call started (trace origin).
     enqueued: Instant,
+    /// When the request was handed to the dispatcher (end of the
+    /// `admit` span: admission + parse done).
     submitted: Instant,
+    /// Monotone per-server trace id.
     trace_id: u64,
     tx: Sender<ServeReply>,
+    /// The admission slot; released right before the reply is sent.
     permit: Permit,
 }
 
@@ -901,7 +826,7 @@ impl ServeHandle {
             structure: structure.to_owned(),
         };
         let structures = read_lock(&self.shared.structures);
-        let Some(chain) = structures.get(structure) else {
+        let Some(registration) = structures.get(structure) else {
             drop(permit);
             self.shared.served.record(ServedKind::Rejected, 1);
             tx.send(ServeReply {
@@ -912,15 +837,17 @@ impl ServeHandle {
             return Ok(ticket);
         };
         let request = Request {
-            chain: Arc::clone(chain),
-            name: structure.to_owned(),
+            registration: Arc::clone(registration),
             bindings,
-            reply: tx,
-            enqueued,
-            submitted: Instant::now(),
-            trace_id: self.shared.obs.next_trace_id(),
             options,
-            permit,
+            slot: ReplySlot {
+                name: structure.to_owned(),
+                enqueued,
+                submitted: Instant::now(),
+                trace_id: self.shared.obs.next_trace_id(),
+                tx,
+                permit,
+            },
         };
         drop(structures);
         if self.submit.send(Incoming::Requests(vec![request])).is_err() {
@@ -962,8 +889,8 @@ impl ServeHandle {
     /// interned** (`DimVar` interning is process-wide and permanent,
     /// so a front door must never intern arbitrary client strings).
     pub fn submit_raw_batch(&self, requests: Vec<RawRequest>) -> Vec<Ticket> {
-        self.submit_with(requests, |chain, vars| {
-            bind_named_vars(chain, &vars).map_err(ServeError::BadRequest)
+        self.submit_with(requests, |registration, vars| {
+            bind_named_vars(registration.key.vars(), &vars).map_err(ServeError::BadRequest)
         })
     }
 
@@ -979,7 +906,7 @@ impl ServeHandle {
     fn submit_with<T>(
         &self,
         requests: Vec<(String, T, RequestOptions)>,
-        mut resolve: impl FnMut(&SymChain, T) -> Result<DimBindings, ServeError>,
+        mut resolve: impl FnMut(&Registration, T) -> Result<DimBindings, ServeError>,
     ) -> Vec<Ticket> {
         let mut tickets = Vec::with_capacity(requests.len());
         let mut parsed = Vec::with_capacity(requests.len());
@@ -993,59 +920,44 @@ impl ServeHandle {
                 rx,
                 structure: name.clone(),
             });
-            let Some(chain) = structures.get(&name) else {
-                rejected += 1;
-                tx.send(ServeReply {
-                    structure: name.clone(),
-                    result: Err(ServeError::UnknownStructure(name)),
-                })
-                .ok();
-                continue;
-            };
-            let bindings = match resolve(chain, payload) {
-                Ok(bindings) => bindings,
+            let admitted = structures
+                .get(&name)
+                .ok_or_else(|| ServeError::UnknownStructure(name.clone()))
+                .and_then(|registration| {
+                    let bindings = resolve(registration, payload)?;
+                    let permit = self.shared.gate.try_acquire().map_err(|e| match e {
+                        SubmitError::QueueFull { .. } => ServeError::QueueFull,
+                        SubmitError::ShuttingDown => ServeError::Closed,
+                    })?;
+                    Ok((registration, bindings, permit))
+                });
+            match admitted {
+                Ok((registration, bindings, permit)) => parsed.push(Request {
+                    registration: Arc::clone(registration),
+                    bindings,
+                    options,
+                    slot: ReplySlot {
+                        name,
+                        enqueued,
+                        submitted: enqueued, // overwritten below, once per batch
+                        trace_id: self.shared.obs.next_trace_id(),
+                        tx,
+                        permit,
+                    },
+                }),
                 Err(e) => {
-                    rejected += 1;
+                    if e == ServeError::QueueFull {
+                        overloaded += 1;
+                    } else {
+                        rejected += 1;
+                    }
                     tx.send(ServeReply {
                         structure: name,
                         result: Err(e),
                     })
                     .ok();
-                    continue;
                 }
-            };
-            let permit = match self.shared.gate.try_acquire() {
-                Ok(permit) => permit,
-                Err(SubmitError::QueueFull { .. }) => {
-                    overloaded += 1;
-                    tx.send(ServeReply {
-                        structure: name,
-                        result: Err(ServeError::QueueFull),
-                    })
-                    .ok();
-                    continue;
-                }
-                Err(SubmitError::ShuttingDown) => {
-                    rejected += 1;
-                    tx.send(ServeReply {
-                        structure: name,
-                        result: Err(ServeError::Closed),
-                    })
-                    .ok();
-                    continue;
-                }
-            };
-            parsed.push(Request {
-                chain: Arc::clone(chain),
-                name,
-                bindings,
-                reply: tx,
-                enqueued,
-                submitted: enqueued, // overwritten below, once per batch
-                trace_id: self.shared.obs.next_trace_id(),
-                options,
-                permit,
-            });
+            }
         }
         drop(structures);
         if rejected > 0 {
@@ -1062,7 +974,7 @@ impl ServeHandle {
             // request's `admit` span.
             let submitted = Instant::now();
             for request in &mut parsed {
-                request.submitted = submitted;
+                request.slot.submitted = submitted;
             }
             if self.submit.send(Incoming::Requests(parsed)).is_err() {
                 // Server shut down: tickets resolve to `Closed` when
@@ -1261,18 +1173,12 @@ impl Server {
         let shared = Arc::new(Shared {
             cache: PlanCache::new(registry, config.inference),
             structures: RwLock::new(HashMap::new()),
-            coalesced: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
+            other_classes: Arc::default(),
             served: CounterCell::default(),
-            latency: LatencyBook::default(),
             gate: Arc::new(AdmissionGate::new(config.queue_capacity)),
-            supervision: SupervisionCell::default(),
             obs: ObsLayer::new(config.slow_trace_capacity),
         });
-        shared
-            .supervision
-            .workers_alive
-            .store(workers, Ordering::SeqCst);
+        shared.obs.workers_alive.set(workers as u64);
 
         let (submit_tx, submit_rx) = channel::<Incoming>();
         let (job_tx, job_rx) = channel::<Job>();
@@ -1326,17 +1232,44 @@ impl Server {
 
     /// Registers (or replaces) a structure under `name`. This is the
     /// parse-once step: requests reference the name and never carry a
-    /// chain.
+    /// chain, and everything that depends only on the chain's structure
+    /// — its plan-cache key, its variables, its latency class — is
+    /// fixed here rather than per request.
+    ///
+    /// A re-registered name keeps its latency class. The first
+    /// [`MAX_LATENCY_CLASSES`] names get a class of their own; later
+    /// names, and a name that is itself `other`, share the `other`
+    /// class.
     ///
     /// # Errors
     ///
     /// Currently infallible; returns `Result` so registration can gain
     /// validation without breaking callers.
     pub fn register(&self, name: &str, chain: SymChain) -> Result<(), ServeError> {
-        write_lock(&self.shared.structures).insert(name.to_owned(), Arc::new(chain));
-        // Pre-create the latency class so the recording hot path is a
-        // read lock.
-        self.shared.latency.class(name);
+        let shared = &self.shared;
+        let key = shared.cache.prepare(&chain);
+        let mut structures = write_lock(&shared.structures);
+        let own_classes = || {
+            structures
+                .values()
+                .filter(|r| !Arc::ptr_eq(&r.classes, &shared.other_classes))
+                .count()
+        };
+        let (classes, overflowed) = match structures.get(name) {
+            Some(old) => (Arc::clone(&old.classes), old.overflowed),
+            None if name == OTHER => (Arc::clone(&shared.other_classes), false),
+            None if own_classes() >= MAX_LATENCY_CLASSES => {
+                (Arc::clone(&shared.other_classes), true)
+            }
+            None => (Arc::default(), false),
+        };
+        let registration = Registration {
+            chain,
+            key,
+            classes,
+            overflowed,
+        };
+        structures.insert(name.to_owned(), Arc::new(registration));
         Ok(())
     }
 
@@ -1400,9 +1333,8 @@ impl Server {
             // Panicked workers were already counted by their guards.
             w.join().ok();
         }
-        let supervision = self.shared.supervision.snapshot();
-        report.worker_panics = supervision.worker_panics;
-        report.respawns = supervision.respawns;
+        report.worker_panics = self.shared.obs.worker_panics.get();
+        report.respawns = self.shared.obs.respawns.get();
         report
     }
 }
@@ -1437,17 +1369,11 @@ fn supervisor_loop(
         match events.recv() {
             Ok(WorkerEvent::Stopped) => {
                 alive -= 1;
-                shared
-                    .supervision
-                    .workers_alive
-                    .store(alive, Ordering::SeqCst);
+                shared.obs.workers_alive.set(alive as u64);
             }
             Ok(WorkerEvent::Panicked) => {
                 alive -= 1;
-                shared
-                    .supervision
-                    .worker_panics
-                    .fetch_add(1, Ordering::SeqCst);
+                shared.obs.worker_panics.inc();
                 let respawn = !shared.gate.is_closed() && respawns < restart_budget;
                 if respawn {
                     match spawn_worker(next_id, shared, job_rx, event_tx) {
@@ -1456,17 +1382,14 @@ fn supervisor_loop(
                             next_id += 1;
                             respawns += 1;
                             alive += 1;
-                            shared.supervision.respawns.fetch_add(1, Ordering::SeqCst);
+                            shared.obs.respawns.inc();
                         }
                         Err(e) => {
                             eprintln!("gmc-serve: respawn failed: {e}");
                         }
                     }
                 }
-                shared
-                    .supervision
-                    .workers_alive
-                    .store(alive, Ordering::SeqCst);
+                shared.obs.workers_alive.set(alive as u64);
                 if alive == 0 {
                     // Pool dead, budget gone: stop admitting work so
                     // callers get `Closed` instead of a silent hang.
@@ -1514,19 +1437,19 @@ fn dispatcher_loop(
             }
         }
 
-        // Group by (registered chain, size region); coalesce identical
-        // bindings within a group. The chain is identified by its
-        // `Arc` pointer — registration hands every request for a name
-        // the same `Arc` — so grouping costs one pointer compare plus
-        // the region signature, with no per-request structure-key
-        // walk. (Two *names* registered with one structure group
+        // Group by (registration, size region); coalesce identical
+        // bindings within a group. The registration is identified by
+        // its `Arc` pointer — every request for a name shares it — so
+        // grouping costs one pointer compare plus the region signature,
+        // which travels with the job so the worker never recomputes
+        // it. (Two *names* registered with one structure group
         // separately here; the cache's per-shard write mutex still
         // coalesces their recordings.)
         type GroupKey = (usize, Vec<i8>);
         type GroupMap = HashMap<
             GroupKey,
             (
-                Arc<SymChain>,
+                Arc<Registration>,
                 HashMap<DimBindings, (Vec<ReplySlot>, Option<SolveFault>)>,
             ),
         >;
@@ -1537,70 +1460,45 @@ fn dispatcher_loop(
             // never reaches a worker, so it is `rejected` (with the
             // `expired` sub-count) and its latency lands in the
             // dedicated `expired` histogram, not `total`.
-            if let Some(deadline) = req.options.deadline {
-                if grouped >= deadline {
-                    shared.served.record(ServedKind::Expired, 1);
-                    shared
-                        .latency
-                        .expired
-                        .record(nanos_between(req.enqueued, grouped));
-                    let Request {
-                        name,
-                        reply,
-                        permit,
-                        ..
-                    } = req;
-                    drop(permit);
-                    reply
-                        .send(ServeReply {
-                            structure: name,
-                            result: Err(ServeError::DeadlineExceeded),
-                        })
-                        .ok();
-                    continue;
-                }
+            if req
+                .options
+                .deadline
+                .is_some_and(|deadline| grouped >= deadline)
+            {
+                shared.served.record(ServedKind::Expired, 1);
+                shared
+                    .obs
+                    .expired
+                    .record(nanos_between(req.slot.enqueued, grouped));
+                req.slot.send(Err(ServeError::DeadlineExceeded));
+                continue;
             }
-            let sizes = match req.chain.bind_dims(&req.bindings) {
+            let sizes = match req.registration.chain.bind_dims(&req.bindings) {
                 Ok(sizes) => sizes,
                 Err(e) => {
                     // Unbindable request: answer immediately, nothing
                     // to dispatch.
                     shared.served.record(ServedKind::Rejected, 1);
-                    let Request {
-                        name,
-                        reply,
-                        permit,
-                        ..
-                    } = req;
-                    drop(permit);
-                    reply
-                        .send(ServeReply {
-                            structure: name,
-                            result: Err(ServeError::Plan(PlanError::Chain(e.into()))),
-                        })
-                        .ok();
+                    req.slot
+                        .send(Err(ServeError::Plan(PlanError::Chain(e.into()))));
                     continue;
                 }
             };
-            let key = (Arc::as_ptr(&req.chain) as usize, region_signature(&sizes));
+            let key = (
+                Arc::as_ptr(&req.registration) as usize,
+                region_signature(&sizes),
+            );
             let (_, items) = groups
                 .entry(key)
-                .or_insert_with(|| (Arc::clone(&req.chain), HashMap::new()));
+                .or_insert_with(|| (Arc::clone(&req.registration), HashMap::new()));
             // Identical bindings coalesce into one instantiate; the
             // hash lookup keeps grouping O(requests).
             let (replies, fault) = items.entry(req.bindings).or_default();
             if !replies.is_empty() {
-                shared.coalesced.fetch_add(1, Ordering::Relaxed);
+                shared.obs.coalesced.inc();
             }
             *fault = merge_faults(*fault, req.options.fault);
-            replies.push(ReplySlot {
-                name: req.name,
-                enqueued: req.enqueued,
-                submitted: req.submitted,
-                trace_id: req.trace_id,
-                tx: req.reply,
-                permit: req.permit,
-            });
+            replies.push(req.slot);
         }
         // Emit each group as jobs of at most MAX_ITEMS_PER_JOB items,
         // so a single hot region's independent hit instantiates spread
@@ -1609,7 +1507,7 @@ fn dispatcher_loop(
         // cache's per-shard write mutex still records exactly once and
         // serves the losers as hits.)
         let dispatched = Instant::now();
-        for (_, (chain, by_bindings)) in groups {
+        for ((_, sig), (registration, by_bindings)) in groups {
             let mut items: Vec<BatchItem> = by_bindings
                 .into_iter()
                 .map(|(bindings, (replies, fault))| BatchItem {
@@ -1620,10 +1518,11 @@ fn dispatcher_loop(
                 .collect();
             while !items.is_empty() {
                 let rest = items.split_off(items.len().min(MAX_ITEMS_PER_JOB));
-                shared.batches.fetch_add(1, Ordering::Relaxed);
+                shared.obs.batches.inc();
                 if job_tx
                     .send(Job::Batch {
-                        chain: Arc::clone(&chain),
+                        registration: Arc::clone(&registration),
+                        sig: sig.clone(),
                         items,
                         grouped,
                         dispatched,
@@ -1662,7 +1561,8 @@ fn worker_loop(shared: &Shared, job_rx: &Arc<Mutex<Receiver<Job>>>) {
         };
         match job {
             Ok(Job::Batch {
-                chain,
+                registration,
+                sig,
                 items,
                 grouped,
                 dispatched,
@@ -1697,45 +1597,37 @@ fn worker_loop(shared: &Shared, job_rx: &Arc<Mutex<Receiver<Job>>>) {
                                 }
                                 _ => {}
                             }
-                            shared.cache.solve_traced(&chain, &item.bindings)
+                            shared.cache.solve_keyed(
+                                &registration.key,
+                                &registration.chain,
+                                &item.bindings,
+                                &sig,
+                            )
                         }))
                         .map_err(|payload| panic_message(payload.as_ref()))
                     };
-                    let kind = match &outcome {
-                        Ok(Ok((_, PlanOutcome::Hit, _))) => ServedKind::Hit,
-                        Ok(Ok(_)) => ServedKind::Miss,
-                        Ok(Err(_)) | Err(_) => ServedKind::Failed,
-                    };
                     let solve_done = Instant::now();
-                    let timing = match &outcome {
-                        Ok(Ok((_, _, t))) => *t,
-                        _ => SolveTiming::default(),
-                    };
-                    let class: &'static str = match &outcome {
-                        Ok(Ok((_, oc, _))) => oc.label(),
-                        Ok(Err(_)) => "plan",
-                        Err(_) => "internal",
-                    };
-                    // Latency: one sample per *request* (coalesced
-                    // waiters each keep their own enqueue time), then
-                    // one consistent counter update for the whole item.
-                    for slot in &item.replies {
-                        let total = nanos_between(slot.enqueued, solve_done);
-                        shared.latency.total.record(total);
-                        shared
-                            .latency
-                            .queue
-                            .record(nanos_between(slot.enqueued, dispatched));
-                        if let Ok(Ok((_, oc, _))) = &outcome {
-                            let class = shared.latency.class(&slot.name);
-                            if oc.is_hit() {
-                                class.hit.record(total);
+                    let (kind, timing, label, class) = match &outcome {
+                        Ok(Ok((_, oc, timing))) => {
+                            let pair = &registration.classes;
+                            let (kind, class) = if oc.is_hit() {
+                                (ServedKind::Hit, &pair.hit)
                             } else {
-                                class.miss.record(total);
-                            }
+                                (ServedKind::Miss, &pair.miss)
+                            };
+                            (kind, *timing, oc.label(), Some(class))
                         }
+                        Ok(Err(_)) => (ServedKind::Failed, SolveTiming::default(), "plan", None),
+                        Err(_) => (ServedKind::Failed, SolveTiming::default(), "internal", None),
+                    };
+                    // One consistent counter update for the whole item,
+                    // then one latency sample per *request* (coalesced
+                    // waiters each keep their own enqueue time).
+                    let requests = item.replies.len() as u64;
+                    shared.served.record(kind, requests);
+                    if class.is_some() && registration.overflowed {
+                        shared.obs.class_overflow.add(requests);
                     }
-                    shared.served.record(kind, item.replies.len() as u64);
                     for slot in item.replies {
                         let result = match &outcome {
                             Ok(Ok((solution, outcome, _))) => {
@@ -1747,10 +1639,13 @@ fn worker_loop(shared: &Shared, job_rx: &Arc<Mutex<Receiver<Job>>>) {
                         // Stage spans tile enqueued → done exactly; the
                         // `solve` span subtracts the cache's measured
                         // lookup time so `lookup + solve` equals the
-                        // wall time the worker spent in the cache. The
-                        // stage histograms record *after* the served
-                        // counters, so at quiescence every completed
-                        // request has exactly one sample per stage.
+                        // wall time the worker spent in the cache.
+                        // `total` (enqueue → solve done) and `queue`
+                        // (enqueue → dispatch) are sums of the leading
+                        // spans. Every histogram records *after* the
+                        // served counters, so no count runs ahead of
+                        // `completed`, and at quiescence every completed
+                        // request has exactly one sample in each.
                         let done = Instant::now();
                         let durs: [u64; STAGES.len()] = [
                             nanos_between(slot.enqueued, slot.submitted),
@@ -1764,6 +1659,12 @@ fn worker_loop(shared: &Shared, job_rx: &Arc<Mutex<Receiver<Job>>>) {
                         ];
                         for (hist, dur) in shared.obs.stages.iter().zip(durs) {
                             hist.record(dur);
+                        }
+                        let to_solved: u64 = durs[..6].iter().sum();
+                        shared.obs.total.record(to_solved);
+                        shared.obs.queue.record(durs[..3].iter().sum());
+                        if let Some(class) = class {
+                            class.record(to_solved);
                         }
                         let total_ns: u64 = durs.iter().sum();
                         shared.obs.ring.offer_with(total_ns, || {
@@ -1784,7 +1685,7 @@ fn worker_loop(shared: &Shared, job_rx: &Arc<Mutex<Receiver<Job>>>) {
                             Trace {
                                 id: slot.trace_id,
                                 label: slot.name.clone(),
-                                class: class.to_owned(),
+                                class: label.to_owned(),
                                 total_ns,
                                 spans,
                             }

@@ -1,44 +1,140 @@
-//! Scrape-time rendering of the serve layer's observability surfaces.
+//! The serve layer's instruments and the scrape-time rendering of its
+//! observability surfaces (`METRICS`, `CACHE`).
 //!
-//! The hot path writes each fact exactly once — served counters into
-//! [`CounterCell`](crate::ServedCounters), latency samples into the
-//! [`LatencyBook`](crate::LatencySnapshot) histograms, stage spans into
-//! the registry's live histograms, cache outcomes into the plan
-//! cache's per-shard and per-structure atomics. This module assembles
-//! the full Prometheus exposition (and the `CACHE` JSON summary) from
-//! those authoritative sources *at scrape time*, so serving never pays
-//! for a counter it already keeps.
+//! Every fact has one owner, written once on the hot path. Plain
+//! counters, gauges and histograms are handles into the server's
+//! [`MetricsRegistry`] ([`ObsLayer`]), which `METRICS` renders as is.
+//! Facts that need more than one atomic — the served counters, which
+//! must balance in every reading, and the plan cache's per-shard and
+//! per-structure counters — stay with their owners and are copied into
+//! the exposition *at scrape time*, so serving never pays for a counter
+//! it already keeps.
 //!
 //! Rendered families (all names are stable API):
 //!
-//! | family | kind | labels |
-//! |---|---|---|
-//! | `gmc.serve.requests.completed` | counter | — |
-//! | `gmc.serve.requests.served` | counter | `class` = `hit`/`miss`/`failed` |
-//! | `gmc.serve.requests.rejected` | counter | `reason` = `overload`/`expired`/`other` |
-//! | `gmc.serve.coalesced`, `gmc.serve.batches` | counter | — |
-//! | `gmc.serve.structures`, `gmc.serve.workers.alive` | gauge | — |
-//! | `gmc.serve.worker.panics`, `gmc.serve.worker.respawns` | counter | — |
-//! | `gmc.serve.stage.latency.ns` | histogram | `stage` (see [`STAGES`](crate::STAGES)) |
-//! | `gmc.serve.latency.ns` | histogram | `scope` = `total`/`queue`/`expired` |
-//! | `gmc.serve.class.latency.ns` | histogram | `structure`, `class` = `hit`/`miss` |
-//! | `gmc.serve.class.overflow` | counter | — |
-//! | `gmc.cache.requests` | counter | `outcome` = `hit`/`miss_region`/`miss_structure` |
-//! | `gmc.cache.shard.*` | counter/gauge | `shard` |
-//! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` |
-//! | `gmc.obs.slow_traces.{offered,kept,capacity}` | counter/gauge | — |
+//! | family | kind | labels | owner |
+//! |---|---|---|---|
+//! | `gmc.serve.stage.latency.ns` | histogram | `stage` (see [`STAGES`](crate::STAGES)) | registry |
+//! | `gmc.serve.latency.ns` | histogram | `scope` = `total`/`queue`/`expired` | registry |
+//! | `gmc.serve.coalesced`, `gmc.serve.batches` | counter | — | registry |
+//! | `gmc.serve.worker.panics`, `gmc.serve.worker.respawns` | counter | — | registry |
+//! | `gmc.serve.workers.alive` | gauge | — | registry |
+//! | `gmc.serve.class.overflow` | counter | — | registry |
+//! | `gmc.serve.requests.completed` | counter | — | served-counter seqlock |
+//! | `gmc.serve.requests.served` | counter | `class` = `hit`/`miss`/`failed` | served-counter seqlock |
+//! | `gmc.serve.requests.rejected` | counter | `reason` = `overload`/`expired`/`other` | served-counter seqlock |
+//! | `gmc.serve.class.latency.ns` | histogram | `structure`, `class` = `hit`/`miss` | each registration's latency pair |
+//! | `gmc.serve.structures` | gauge | — | the registered-structure map |
+//! | `gmc.cache.requests` | counter | `outcome` = `hit`/`miss_region`/`miss_structure` | plan cache |
+//! | `gmc.cache.shard.*` | counter/gauge | `shard` | plan cache |
+//! | `gmc.cache.structure.{hits,misses,regions}` | counter/gauge | `structure` | plan cache |
+//! | `gmc.obs.slow_traces.{offered,kept,capacity}` | counter/gauge | — | slow-trace ring |
+//!
+//! Latency classes are fixed per name at [`Server::register`](crate::Server::register)
+//! and only non-empty classes are rendered. Past the
+//! [`MAX_LATENCY_CLASSES`](crate::MAX_LATENCY_CLASSES) cap, and for a
+//! structure itself named `other`, requests share the `other` class;
+//! `gmc.cache.structure.*` aggregates the same way past
+//! [`DEFAULT_SERIES_CAP`] structures, so no `other` series is ever
+//! rendered twice.
 
-use crate::Shared;
+use crate::{Registration, Shared, OTHER, STAGES};
 use gmc_obs::registry::DEFAULT_SERIES_CAP;
-use gmc_obs::Exposition;
+use gmc_obs::trace::SlowTraceRing;
+use gmc_obs::{Counter, Exposition, Gauge, Histogram, MetricsRegistry};
 use gmc_plan::sync::read_lock;
 use serde::Value;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The observability layer behind the server: the live metrics
+/// registry and the handles of every plain instrument it owns, the
+/// slow-trace ring, and the trace-id counter. `METRICS` renders the
+/// registry directly; see the module docs for what is added at scrape time.
+pub(crate) struct ObsLayer {
+    pub(crate) registry: MetricsRegistry,
+    /// Per-stage span histograms, in [`STAGES`] order.
+    pub(crate) stages: [Histogram; STAGES.len()],
+    /// `gmc.serve.latency.ns{scope="total"}`.
+    pub(crate) total: Histogram,
+    /// `gmc.serve.latency.ns{scope="queue"}`.
+    pub(crate) queue: Histogram,
+    /// `gmc.serve.latency.ns{scope="expired"}`.
+    pub(crate) expired: Histogram,
+    pub(crate) coalesced: Counter,
+    pub(crate) batches: Counter,
+    pub(crate) worker_panics: Counter,
+    pub(crate) respawns: Counter,
+    pub(crate) workers_alive: Gauge,
+    pub(crate) class_overflow: Counter,
+    /// The N slowest completed traces.
+    pub(crate) ring: SlowTraceRing,
+    pub(crate) trace_ids: AtomicU64,
+}
+
+impl ObsLayer {
+    pub(crate) fn new(slow_trace_capacity: usize) -> ObsLayer {
+        let registry = MetricsRegistry::new();
+        let stages = STAGES.map(|stage| {
+            registry.histogram(
+                "gmc.serve.stage.latency.ns",
+                "Per-stage request span duration in nanoseconds",
+                &[("stage", stage)],
+            )
+        });
+        let latency = |scope| {
+            registry.histogram(
+                "gmc.serve.latency.ns",
+                "Request latency in nanoseconds by scope",
+                &[("scope", scope)],
+            )
+        };
+        let (total, queue, expired) = (latency("total"), latency("queue"), latency("expired"));
+        let counter = |name, help| registry.counter(name, help, &[]);
+        ObsLayer {
+            coalesced: counter(
+                "gmc.serve.coalesced",
+                "Requests answered from another in-flight request's instantiate",
+            ),
+            batches: counter("gmc.serve.batches", "Batches dispatched to workers"),
+            worker_panics: counter(
+                "gmc.serve.worker.panics",
+                "Worker threads that died by panic",
+            ),
+            respawns: counter(
+                "gmc.serve.worker.respawns",
+                "Workers the supervisor respawned",
+            ),
+            class_overflow: counter(
+                "gmc.serve.class.overflow",
+                "Latency-class lookups funneled into the shared `other` class",
+            ),
+            workers_alive: registry.gauge(
+                "gmc.serve.workers.alive",
+                "Worker threads currently alive",
+                &[],
+            ),
+            registry,
+            stages,
+            total,
+            queue,
+            expired,
+            ring: SlowTraceRing::new(slow_trace_capacity),
+            trace_ids: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn next_trace_id(&self) -> u64 {
+        self.trace_ids.fetch_add(1, Ordering::Relaxed)
+    }
+}
 
 /// Renders the full Prometheus text exposition for a running server.
 pub(crate) fn render_prometheus(shared: &Shared) -> String {
     let mut expo = Exposition::new();
-    // Live instruments first: the per-stage span histograms (the only
-    // metrics the hot path records directly into the registry).
+    // Live instruments first, so the snapshot below is no older than
+    // any histogram (workers record histograms after the served
+    // counters).
     shared.obs.registry.render_into(&mut expo);
 
     let stats = shared.stats();
@@ -50,102 +146,39 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
         &[],
         served.completed,
     );
-    let served_help = "Completed requests by outcome class";
-    expo.add_counter(
-        "gmc.serve.requests.served",
-        served_help,
-        &[("class", "hit")],
-        served.hits,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.served",
-        served_help,
-        &[("class", "miss")],
-        served.misses,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.served",
-        served_help,
-        &[("class", "failed")],
-        served.failed,
-    );
-    let rejected_help = "Requests answered before reaching a worker, by reason";
-    expo.add_counter(
-        "gmc.serve.requests.rejected",
-        rejected_help,
-        &[("reason", "overload")],
-        served.rejected_overload,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.rejected",
-        rejected_help,
-        &[("reason", "expired")],
-        served.expired,
-    );
-    expo.add_counter(
-        "gmc.serve.requests.rejected",
-        rejected_help,
-        &[("reason", "other")],
-        served
-            .rejected
-            .saturating_sub(served.rejected_overload)
-            .saturating_sub(served.expired),
-    );
-    expo.add_counter(
-        "gmc.serve.coalesced",
-        "Requests answered from another in-flight request's instantiate",
-        &[],
-        stats.coalesced,
-    );
-    expo.add_counter(
-        "gmc.serve.batches",
-        "Batches dispatched to workers",
-        &[],
-        stats.batches,
-    );
+    for (class, value) in [
+        ("hit", served.hits),
+        ("miss", served.misses),
+        ("failed", served.failed),
+    ] {
+        expo.add_counter(
+            "gmc.serve.requests.served",
+            "Completed requests by outcome class",
+            &[("class", class)],
+            value,
+        );
+    }
+    let other_rejected = served
+        .rejected
+        .saturating_sub(served.rejected_overload)
+        .saturating_sub(served.expired);
+    for (reason, value) in [
+        ("overload", served.rejected_overload),
+        ("expired", served.expired),
+        ("other", other_rejected),
+    ] {
+        expo.add_counter(
+            "gmc.serve.requests.rejected",
+            "Requests answered before reaching a worker, by reason",
+            &[("reason", reason)],
+            value,
+        );
+    }
     expo.add_gauge(
         "gmc.serve.structures",
         "Registered structures",
         &[],
         stats.structures as f64,
-    );
-    expo.add_gauge(
-        "gmc.serve.workers.alive",
-        "Worker threads currently alive",
-        &[],
-        stats.supervision.workers_alive as f64,
-    );
-    expo.add_counter(
-        "gmc.serve.worker.panics",
-        "Worker threads that died by panic",
-        &[],
-        stats.supervision.worker_panics,
-    );
-    expo.add_counter(
-        "gmc.serve.worker.respawns",
-        "Workers the supervisor respawned",
-        &[],
-        stats.supervision.respawns,
-    );
-
-    let latency_help = "Request latency in nanoseconds by scope";
-    expo.add_histogram(
-        "gmc.serve.latency.ns",
-        latency_help,
-        &[("scope", "total")],
-        stats.latency.total,
-    );
-    expo.add_histogram(
-        "gmc.serve.latency.ns",
-        latency_help,
-        &[("scope", "queue")],
-        stats.latency.queue,
-    );
-    expo.add_histogram(
-        "gmc.serve.latency.ns",
-        latency_help,
-        &[("scope", "expired")],
-        stats.latency.expired,
     );
     for class in stats.latency.classes {
         expo.add_histogram(
@@ -158,32 +191,18 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
             class.snapshot,
         );
     }
-    expo.add_counter(
-        "gmc.serve.class.overflow",
-        "Latency-class lookups funneled into the shared `other` class",
-        &[],
-        shared.latency.overflowed(),
-    );
-
-    let cache_help = "Plan-cache instantiates by outcome";
-    expo.add_counter(
-        "gmc.cache.requests",
-        cache_help,
-        &[("outcome", "hit")],
-        stats.cache.hits,
-    );
-    expo.add_counter(
-        "gmc.cache.requests",
-        cache_help,
-        &[("outcome", "miss_region")],
-        stats.cache.region_misses,
-    );
-    expo.add_counter(
-        "gmc.cache.requests",
-        cache_help,
-        &[("outcome", "miss_structure")],
-        stats.cache.structure_misses,
-    );
+    for (outcome, value) in [
+        ("hit", stats.cache.hits),
+        ("miss_region", stats.cache.region_misses),
+        ("miss_structure", stats.cache.structure_misses),
+    ] {
+        expo.add_counter(
+            "gmc.cache.requests",
+            "Plan-cache instantiates by outcome",
+            &[("outcome", outcome)],
+            value,
+        );
+    }
     for s in shared.cache.shard_stats() {
         let shard = s.shard.to_string();
         let labels: [(&str, &str); 1] = [("shard", &shard)];
@@ -199,36 +218,31 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
             &labels,
             s.regions as f64,
         );
-        expo.add_counter(
-            "gmc.cache.shard.hits",
-            "Cache hits per shard",
-            &labels,
-            s.hits,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.region_misses",
-            "New-region recordings per shard",
-            &labels,
-            s.region_misses,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.structure_misses",
-            "New-structure recordings per shard",
-            &labels,
-            s.structure_misses,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.coalesced_waiters",
-            "Misses served as hits after losing the recording race",
-            &labels,
-            s.coalesced_waiters,
-        );
-        expo.add_counter(
-            "gmc.cache.shard.snapshot_swaps",
-            "Copy-on-write snapshot publications per shard",
-            &labels,
-            s.snapshot_swaps,
-        );
+        for (name, help, value) in [
+            ("gmc.cache.shard.hits", "Cache hits per shard", s.hits),
+            (
+                "gmc.cache.shard.region_misses",
+                "New-region recordings per shard",
+                s.region_misses,
+            ),
+            (
+                "gmc.cache.shard.structure_misses",
+                "New-structure recordings per shard",
+                s.structure_misses,
+            ),
+            (
+                "gmc.cache.shard.coalesced_waiters",
+                "Misses served as hits after losing the recording race",
+                s.coalesced_waiters,
+            ),
+            (
+                "gmc.cache.shard.snapshot_swaps",
+                "Copy-on-write snapshot publications per shard",
+                s.snapshot_swaps,
+            ),
+        ] {
+            expo.add_counter(name, help, &labels, value);
+        }
     }
     for s in structure_cache_stats(shared) {
         let labels: [(&str, &str); 1] = [("structure", &s.name)];
@@ -339,31 +353,29 @@ struct StructureCacheStats {
 /// labeled family, the set is bounded: beyond
 /// [`DEFAULT_SERIES_CAP`] structures the remainder is aggregated into
 /// one `other` entry, so a client registering thousands of structures
-/// cannot blow up the scrape.
+/// cannot blow up the scrape. A structure that is itself named `other`
+/// joins that aggregate rather than colliding with it.
 fn structure_cache_stats(shared: &Shared) -> Vec<StructureCacheStats> {
-    let mut names: Vec<(String, std::sync::Arc<gmc_expr::SymChain>)> =
-        read_lock(&shared.structures)
-            .iter()
-            .map(|(name, chain)| (name.clone(), std::sync::Arc::clone(chain)))
-            .collect();
-    names.sort_by(|a, b| a.0.cmp(&b.0));
+    let structures = read_lock(&shared.structures);
+    let mut names: Vec<(&String, &Arc<Registration>)> = structures.iter().collect();
+    names.sort_by_key(|(name, _)| *name);
     let mut out = Vec::with_capacity(names.len().min(DEFAULT_SERIES_CAP + 1));
     let mut other: Option<StructureCacheStats> = None;
-    for (name, chain) in names {
-        let (hits, misses, regions) = match shared.cache.plan_for(&chain) {
+    for (name, registration) in names {
+        let (hits, misses, regions) = match shared.cache.plan_keyed(&registration.key) {
             Some(plan) => (plan.hits(), plan.misses(), plan.region_count()),
             None => (0, 0, 0),
         };
-        if out.len() < DEFAULT_SERIES_CAP {
+        if out.len() < DEFAULT_SERIES_CAP && name != OTHER {
             out.push(StructureCacheStats {
-                name,
+                name: name.clone(),
                 hits,
                 misses,
                 regions,
             });
         } else {
             let agg = other.get_or_insert_with(|| StructureCacheStats {
-                name: "other".to_owned(),
+                name: OTHER.to_owned(),
                 hits: 0,
                 misses: 0,
                 regions: 0,

@@ -126,8 +126,9 @@ fn metrics_balance_under_concurrent_load() {
         .collect();
 
     // Scrape mid-burst: the seqlock'd served counters must balance in
-    // every reading, and no stage can be ahead of `completed` (stage
-    // samples record after the served counters).
+    // every reading, and no stage, `total` or `queue` histogram can be
+    // ahead of `completed` (their samples record after the served
+    // counters).
     for _ in 0..50 {
         let stats = handle.stats();
         let served = stats.served;
@@ -137,6 +138,17 @@ fn metrics_balance_under_concurrent_load() {
             "mid-burst scrape must balance"
         );
         assert_eq!(stats.latency.stages.len(), STAGES.len());
+        for (scope, snapshot) in [
+            ("total", &stats.latency.total),
+            ("queue", &stats.latency.queue),
+        ] {
+            assert!(
+                snapshot.count() <= served.completed,
+                "{scope} has {} samples but only {} requests completed",
+                snapshot.count(),
+                served.completed
+            );
+        }
         for stage in &stats.latency.stages {
             assert!(
                 stage.snapshot.count() <= served.completed,
@@ -393,5 +405,79 @@ fn latency_classes_are_bounded_with_shared_overflow() {
         .map(|c| c.snapshot.count())
         .sum();
     assert_eq!(class_total, stats.served.completed);
+    server.shutdown();
+}
+
+/// A structure registered under the name `other` shares the overflow
+/// class and the overflow cache aggregate instead of colliding with
+/// them: with 66 structures, one of them `other`, every request still
+/// shows up exactly once in the `METRICS` class histograms, and each
+/// `other` series is rendered once.
+#[test]
+fn a_structure_named_other_joins_the_overflow_series() {
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let server = Server::start(
+        registry,
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let mut names = vec!["other".to_owned()];
+    names.extend((0..65).map(|i| format!("S{i:03}")));
+    for name in &names {
+        server.register(name, chain()).unwrap();
+    }
+    let handle = server.handle();
+    for name in &names {
+        let reply = handle.solve(name, bindings(10, 200, 30));
+        assert!(reply.result.is_ok(), "{:?}", reply.result);
+    }
+
+    let stats = handle.stats();
+    assert_eq!(stats.served.completed, names.len() as u64);
+    let text = handle.metrics_prometheus();
+    let class_counts: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("gmc_serve_class_latency_ns_count{"))
+        .collect();
+    let class_total: u64 = class_counts
+        .iter()
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(class_total, stats.served.completed, "{text}");
+    // `other` and the one name past the cap share one class.
+    let other_hits = "gmc_serve_class_latency_ns_count{class=\"hit\",structure=\"other\"}";
+    assert_eq!(
+        class_counts
+            .iter()
+            .filter(|l| l.starts_with(other_hits))
+            .count(),
+        1
+    );
+    let other_classes: u64 = stats
+        .latency
+        .classes
+        .iter()
+        .filter(|c| c.structure == "other")
+        .map(|c| c.snapshot.count())
+        .sum();
+    assert_eq!(other_classes, 2);
+    // Only the name past the cap counts as an overflow.
+    assert_eq!(sample(&text, "gmc_serve_class_overflow"), 1.0);
+
+    // The per-structure cache series aggregate the same way. Every
+    // name here shares one chain, hence one cached plan and one set of
+    // counters, so the `other` aggregate (`other` plus the name past
+    // the cap) is rendered once, at twice any single name's count.
+    let other_cache = text
+        .lines()
+        .filter(|l| l.starts_with("gmc_cache_structure_hits{structure=\"other\"}"))
+        .count();
+    assert_eq!(other_cache, 1, "{text}");
+    assert_eq!(
+        sample(&text, "gmc_cache_structure_hits{structure=\"other\"}"),
+        2.0 * sample(&text, "gmc_cache_structure_hits{structure=\"S000\"}"),
+    );
     server.shutdown();
 }

@@ -227,3 +227,73 @@ fn shutdown_rejects_late_requests() {
     let reply = handle.solve("X", dense_bindings(10, 20, 30));
     assert!(matches!(reply.result, Err(ServeError::Closed)));
 }
+
+/// Re-registering a name with a structurally different chain serves
+/// the new chain — replies match a cold concrete solve of it, and the
+/// string-named path resolves against its variables — while the name
+/// keeps the one latency class it already had.
+#[test]
+fn reregistration_serves_the_new_chain_in_the_same_latency_class() {
+    let registry = Arc::new(KernelRegistry::blas_lapack());
+    let server = Server::start(registry.clone(), ServeConfig::default());
+    server.register("X", dense_chain()).unwrap();
+    // Fill every other latency class: any second slot for `X` would
+    // have to overflow into `other`.
+    for i in 1..gmc_serve::MAX_LATENCY_CLASSES {
+        server.register(&format!("F{i:03}"), dense_chain()).unwrap();
+    }
+    let handle = server.handle();
+    assert!(handle
+        .solve("X", dense_bindings(10, 200, 30))
+        .result
+        .is_ok());
+
+    server.register("X", table2_chain()).unwrap();
+    let optimizer = GmcOptimizer::new(&registry, FlopCount);
+    for (n, m) in [(2000, 200), (200, 2000), (50, 50)] {
+        let bindings = DimBindings::new().with("sv_n", n).with("sv_m", m);
+        let want = optimizer
+            .solve(&table2_chain().bind(&bindings).unwrap())
+            .unwrap();
+        let raw = vec![("sv_n".to_owned(), n), ("sv_m".to_owned(), m)];
+        for reply in [
+            handle.solve("X", bindings.clone()),
+            handle.solve_raw("X", raw, RequestOptions::default()),
+        ] {
+            let served = reply.result.unwrap();
+            assert_eq!(want.cost().to_bits(), served.cost.to_bits());
+            assert_eq!(want.parenthesization(), served.parenthesization);
+            assert_eq!(want.kernel_names(), served.kernels);
+        }
+    }
+    // `sv_k` belonged to the old chain only.
+    let stale = handle.solve_raw(
+        "X",
+        vec![("sv_n".to_owned(), 5), ("sv_k".to_owned(), 5)],
+        RequestOptions::default(),
+    );
+    assert!(matches!(stale.result, Err(ServeError::BadRequest(_))));
+
+    let stats = handle.stats();
+    assert_eq!(stats.structures, gmc_serve::MAX_LATENCY_CLASSES);
+    let x_requests: u64 = stats
+        .latency
+        .classes
+        .iter()
+        .map(|c| {
+            assert_ne!(c.structure, "other", "no name overflowed");
+            if c.structure == "X" {
+                c.snapshot.count()
+            } else {
+                0
+            }
+        })
+        .sum();
+    assert_eq!(x_requests, 7);
+    let metrics = handle.metrics_prometheus();
+    assert!(
+        metrics.contains("\ngmc_serve_class_overflow 0\n"),
+        "{metrics}"
+    );
+    server.shutdown();
+}

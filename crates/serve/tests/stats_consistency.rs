@@ -56,10 +56,11 @@ fn every_stats_snapshot_balances_during_a_burst() {
                     "torn served-counter snapshot: {:?}",
                     s.served
                 );
-                // (Histogram sample counts are relaxed atomics updated
-                // just before the counter frame, so mid-burst they may
-                // lead or lag `completed` — only the final quiescent
-                // totals must balance; that is asserted below.)
+                // (Histogram samples record just *after* the counter
+                // frame, so mid-burst their counts may lag `completed`
+                // but never lead it — `observability.rs` asserts that;
+                // the final quiescent totals must balance exactly, as
+                // asserted below.)
                 snapshots += 1;
             }
             snapshots
