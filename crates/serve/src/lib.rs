@@ -62,6 +62,7 @@ use faults::FAULT_PANIC_MARKER;
 use gmc::{GmcSolution, InferenceMode};
 use gmc_expr::{DimBindings, DimVar, SymChain};
 use gmc_kernels::KernelRegistry;
+use gmc_obs::registry::OVERFLOW_LABEL;
 use gmc_obs::{HistogramSnapshot, LatencyHistogram};
 use gmc_plan::{
     region_signature, CacheStats, PlanCache, PlanError, PlanOutcome, PreparedKey, SolveTiming,
@@ -529,13 +530,8 @@ struct ClassHists {
 /// beyond the cap all record into one shared `other` class.
 pub const MAX_LATENCY_CLASSES: usize = 64;
 
-/// Label value of the shared overflow class (and of the aggregate
-/// `gmc.cache.structure.*` series).
-const OTHER: &str = "other";
-
 /// One registered structure: everything [`Server::register`] fixes
 /// once, so a request for it only pays for its sizes.
-#[derive(Debug)]
 struct Registration {
     chain: SymChain,
     /// The chain's structure key and first-occurrence variables.
@@ -645,7 +641,7 @@ impl Shared {
             .filter(|(_, r)| !Arc::ptr_eq(&r.classes, &self.other_classes))
             .map(|(name, r)| (name.as_str(), &*r.classes));
         let mut classes = Vec::new();
-        for (name, pair) in own.chain([(OTHER, &*self.other_classes)]) {
+        for (name, pair) in own.chain([(OVERFLOW_LABEL, &*self.other_classes)]) {
             for (hit, h) in [(true, &pair.hit), (false, &pair.miss)] {
                 let snapshot = h.snapshot();
                 if !snapshot.is_empty() {
@@ -1257,7 +1253,7 @@ impl Server {
         };
         let (classes, overflowed) = match structures.get(name) {
             Some(old) => (Arc::clone(&old.classes), old.overflowed),
-            None if name == OTHER => (Arc::clone(&shared.other_classes), false),
+            None if name == OVERFLOW_LABEL => (Arc::clone(&shared.other_classes), false),
             None if own_classes() >= MAX_LATENCY_CLASSES => {
                 (Arc::clone(&shared.other_classes), true)
             }

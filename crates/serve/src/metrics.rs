@@ -38,8 +38,8 @@
 //! [`DEFAULT_SERIES_CAP`] structures, so no `other` series is ever
 //! rendered twice.
 
-use crate::{Registration, Shared, OTHER, STAGES};
-use gmc_obs::registry::DEFAULT_SERIES_CAP;
+use crate::{Registration, Shared, STAGES};
+use gmc_obs::registry::{DEFAULT_SERIES_CAP, OVERFLOW_LABEL};
 use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Counter, Exposition, Gauge, Histogram, MetricsRegistry};
 use gmc_plan::sync::read_lock;
@@ -366,7 +366,7 @@ fn structure_cache_stats(shared: &Shared) -> Vec<StructureCacheStats> {
             Some(plan) => (plan.hits(), plan.misses(), plan.region_count()),
             None => (0, 0, 0),
         };
-        if out.len() < DEFAULT_SERIES_CAP && name != OTHER {
+        if out.len() < DEFAULT_SERIES_CAP && name != OVERFLOW_LABEL {
             out.push(StructureCacheStats {
                 name: name.clone(),
                 hits,
@@ -375,7 +375,7 @@ fn structure_cache_stats(shared: &Shared) -> Vec<StructureCacheStats> {
             });
         } else {
             let agg = other.get_or_insert_with(|| StructureCacheStats {
-                name: OTHER.to_owned(),
+                name: OVERFLOW_LABEL.to_owned(),
                 hits: 0,
                 misses: 0,
                 regions: 0,
