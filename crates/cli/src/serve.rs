@@ -10,7 +10,9 @@
 use gmc::InferenceMode;
 use gmc_expr::SymChain;
 use gmc_kernels::KernelRegistry;
-use gmc_serve::protocol::{parse_request_line, reply_to_json, stats_to_json};
+use gmc_serve::protocol::{
+    bad_request_json, parse_command, raw_request, reply_to_json, Command, Introspection, EOF_LINE,
+};
 use gmc_serve::{ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write as _};
 use std::sync::Arc;
@@ -135,15 +137,12 @@ pub fn run_serve_batch(
     // Submit the whole file as one batch so requests sharing a
     // (structure, region) group and identical bindings coalesce.
     // `line_results` records, per line, how its output slot is filled:
-    // positionally from the replies stream, a literal message
-    // (malformed line), or the counters (a `STATS` line).
+    // positionally from the replies stream, a ready reply (malformed
+    // line), or an introspection command answered in place.
     enum Line {
         Reply,
-        Literal(String),
-        Stats,
-        Metrics,
-        Slow,
-        Cache,
+        Ready(String),
+        Introspect(Introspection),
     }
     let mut parsed = Vec::new();
     let mut line_results: Vec<Line> = Vec::new();
@@ -152,79 +151,30 @@ pub fn run_serve_batch(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line == "STATS" {
-            line_results.push(Line::Stats);
-            continue;
-        }
-        if line == "METRICS" {
-            line_results.push(Line::Metrics);
-            continue;
-        }
-        if line == "SLOW" {
-            line_results.push(Line::Slow);
-            continue;
-        }
-        if line == "CACHE" {
-            line_results.push(Line::Cache);
-            continue;
-        }
-        match parse_request_line(line) {
-            Ok((name, vars, deadline_ms)) => {
-                let opts = match deadline_ms {
-                    Some(ms) => gmc_serve::RequestOptions::with_deadline_in(
-                        std::time::Duration::from_millis(ms),
-                    ),
-                    None => gmc_serve::RequestOptions::default(),
-                };
-                line_results.push(Line::Reply);
-                parsed.push((name, vars, opts));
+        line_results.push(match parse_command(line) {
+            Ok(Command::Solve(request)) => {
+                parsed.push(raw_request(request));
+                Line::Reply
             }
-            Err(e) => line_results.push(Line::Literal(format!("# bad request `{line}`: {e}"))),
-        }
+            Ok(Command::Introspect(what)) => Line::Introspect(what),
+            Err(e) => Line::Ready(bad_request_json(e)),
+        });
     }
     let tickets = handle.submit_raw_batch(parsed);
-    // Resolve every reply before rendering, so a `STATS` line reflects
-    // the whole batch wherever it appears in the file.
+    // Resolve every reply before rendering, so an introspection line
+    // reflects the whole batch wherever it appears in the file.
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
     let mut replies = replies.into_iter();
     for entry in line_results {
-        match entry {
-            Line::Reply => {
-                let reply = replies.next().expect("one reply per parsed request");
-                out.push_str(&reply_to_json(&reply));
-                out.push('\n');
-            }
-            Line::Literal(msg) => {
-                out.push_str(&msg);
-                out.push('\n');
-            }
-            // Counters as of after the batch resolved (the batch is
-            // submitted whole, so this reflects every request above).
-            Line::Stats => {
-                out.push_str(&stats_to_json(&handle.stats()));
-                out.push('\n');
-            }
-            // Multi-line Prometheus exposition, `# EOF`-terminated
-            // like the wire protocol.
-            Line::Metrics => {
-                let body = handle.metrics_prometheus();
-                out.push_str(&body);
-                if !body.is_empty() && !body.ends_with('\n') {
-                    out.push('\n');
-                }
-                out.push_str("# EOF\n");
-            }
-            Line::Slow => {
-                out.push_str(&handle.slow_traces_json());
-                out.push('\n');
-            }
-            Line::Cache => {
-                out.push_str(&handle.cache_introspection_json());
-                out.push('\n');
-            }
-        }
+        let text = match entry {
+            Line::Reply => reply_to_json(&replies.next().expect("one reply per parsed request")),
+            Line::Ready(text) => text,
+            Line::Introspect(what) => what.answer(&handle),
+        };
+        out.push_str(&text);
+        out.push('\n');
     }
-    out.push_str(&stats_to_json(&handle.stats()));
+    out.push_str(&Introspection::Stats.answer(&handle));
     out.push('\n');
 
     if let Some(store) = &options.plan_store {
@@ -332,8 +282,7 @@ pub fn run_request(addr: &str, requests: &str) -> Result<String, String> {
             .write_all(format!("{line}\n").as_bytes())
             .map_err(|e| format!("send failed: {e}"))?;
         writer.flush().map_err(|e| format!("send failed: {e}"))?;
-        // Every reply is one line, except `METRICS`: a multi-line
-        // Prometheus exposition the server terminates with `# EOF`.
+        let multi_line = parse_command(line).is_ok_and(|c| c.multi_line());
         loop {
             let mut reply = String::new();
             reader
@@ -343,7 +292,7 @@ pub fn run_request(addr: &str, requests: &str) -> Result<String, String> {
                 return Err("server closed the connection".to_owned());
             }
             out.push_str(&reply);
-            if line != "METRICS" || reply.trim_end() == "# EOF" {
+            if !multi_line || reply.trim_end() == EOF_LINE {
                 break;
             }
         }
@@ -381,7 +330,13 @@ STATS
         assert!(out.contains("\"outcome\":\"hit\""), "{out}");
         assert!(out.contains("TRMM_RLT"), "{out}");
         assert!(out.contains("unknown structure"), "{out}");
-        assert!(out.contains("# bad request"), "{out}");
+        // A malformed line gets the wire's JSON `bad_request` reply.
+        let bad = out
+            .lines()
+            .find(|l| l.contains("bad binding `oops`"))
+            .expect("a reply to the malformed line");
+        serde_json::from_str::<serde::Value>(bad).expect("the reply is JSON");
+        assert!(bad.contains("\"code\":\"bad_request\""), "{bad}");
         assert!(
             out.contains("unknown dimension variable `bogus_dim`"),
             "{out}"
@@ -441,38 +396,84 @@ Y := A * B
         std::fs::remove_file(&path).ok();
     }
 
+    /// The top-level keys of a JSON object line.
+    fn keys(line: &str) -> Vec<String> {
+        match serde_json::from_str::<serde::Value>(line) {
+            Ok(serde::Value::Object(fields)) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not a JSON object: {line} ({other:?})"),
+        }
+    }
+
     #[test]
     fn metrics_slow_and_cache_lines_work_in_both_drivers() {
+        // Pre-enumerated, so every solve is a hit in both drivers and
+        // their reply lines can be compared byte for byte.
+        let options = ServeOptions {
+            pre_enumerate: true,
+            ..ServeOptions::default()
+        };
+        let requests = "X n=2000,m=200\nX n=4000,m=400\nX oops\nSTATS\nMETRICS\nSLOW\nCACHE\n";
+
         // In-process batch driver.
-        let requests = "X n=2000,m=200\nX n=4000,m=400\nMETRICS\nSLOW\nCACHE\n";
-        let out = run_serve_batch(PROBLEM, requests, &ServeOptions::default()).unwrap();
+        let batch = run_serve_batch(PROBLEM, requests, &options).unwrap();
         assert!(
-            out.contains("# TYPE gmc_serve_stage_latency_ns histogram"),
-            "{out}"
+            batch.contains("# TYPE gmc_serve_stage_latency_ns histogram"),
+            "{batch}"
         );
-        assert!(out.contains("# EOF"), "{out}");
-        assert!(out.contains("\"format\":\"gmc-traces/1\""), "{out}");
-        assert!(out.contains("\"shards\":["), "{out}");
+        assert!(batch.contains("\"format\":\"gmc-traces/1\""), "{batch}");
+        assert!(batch.contains("\"shards\":["), "{batch}");
 
         // Over the wire through `run_request`.
-        let (server, _report) = build_server(PROBLEM, &ServeOptions::default()).unwrap();
+        let (server, _report) = build_server(PROBLEM, &options).unwrap();
         let door = gmc_serve::tcp::TcpFrontDoor::bind(server.handle(), "127.0.0.1:0").unwrap();
         let addr = door.local_addr().to_string();
-        let out = run_request(&addr, requests).unwrap();
+        let wire = run_request(&addr, requests).unwrap();
         assert!(
-            out.contains("# TYPE gmc_serve_stage_latency_ns histogram"),
-            "{out}"
+            wire.contains("# TYPE gmc_serve_stage_latency_ns histogram"),
+            "{wire}"
         );
-        assert!(out.lines().any(|l| l == "# EOF"), "{out}");
-        assert!(out.contains("\"format\":\"gmc-traces/1\""), "{out}");
-        assert!(out.contains("\"shards\":["), "{out}");
+        assert!(wire.contains("\"format\":\"gmc-traces/1\""), "{wire}");
+        assert!(wire.contains("\"shards\":["), "{wire}");
         // The exposition covers the two completed requests' stages.
         assert!(
-            out.contains("gmc_serve_stage_latency_ns_count{stage=\"solve\"} 2"),
-            "{out}"
+            wire.contains("gmc_serve_stage_latency_ns_count{stage=\"solve\"} 2"),
+            "{wire}"
         );
         door.shutdown();
         server.shutdown();
+
+        // The batch output adds the registration report before and the
+        // trailing stats line after the replies; the replies match.
+        let mut batch: Vec<&str> = batch
+            .lines()
+            .skip_while(|l| l.starts_with("# registered"))
+            .collect();
+        assert!(batch
+            .pop()
+            .is_some_and(|l| keys(l).contains(&"completed".to_owned())));
+        let wire: Vec<&str> = wire.lines().collect();
+        for replies in [&batch, &wire] {
+            assert!(replies[0].contains("\"outcome\":\"hit\""), "{}", replies[0]);
+            assert!(
+                replies[2].contains("\"code\":\"bad_request\""),
+                "{}",
+                replies[2]
+            );
+        }
+        assert_eq!(batch[..3], wire[..3], "solve and error replies");
+        // STATS, then METRICS up to its `# EOF`, then SLOW and CACHE.
+        assert_eq!(keys(batch[3]), keys(wire[3]), "STATS keys");
+        let eof = |lines: &[&str]| lines.iter().position(|l| *l == EOF_LINE).expect("# EOF");
+        let (batch_eof, wire_eof) = (eof(&batch), eof(&wire));
+        assert_eq!(batch.len(), batch_eof + 3, "{batch:?}");
+        assert_eq!(wire.len(), wire_eof + 3, "{wire:?}");
+        for (i, what) in [(1, "SLOW"), (2, "CACHE")] {
+            assert_eq!(
+                keys(batch[batch_eof + i]),
+                keys(wire[wire_eof + i]),
+                "{what} keys"
+            );
+        }
     }
 
     #[test]

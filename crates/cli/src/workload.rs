@@ -19,7 +19,7 @@
 //! `gmc-faults/1` plan. `replay` prints one JSON line per request to
 //! stdout — deterministic across runs of the same trace (the racy
 //! hit/miss outcome is deliberately *not* included) — and the
-//! counter/latency summary to stderr; it exits nonzero when any
+//! summary with the `STATS` JSON to stderr; it exits nonzero when any
 //! serving invariant or bitwise verification fails, including the
 //! chaos invariants when `--faults` injects panics, overload bursts
 //! and expired deadlines. `--quick` replays a small built-in trace
@@ -28,6 +28,7 @@
 use gmc_bench::replay::{replay_trace, ReplayOptions, ReplayReport, Verify};
 use gmc_bench::workload::{generate, Trace, WorkloadSpec};
 use gmc_serve::faults::{FaultPlan, FaultSpec};
+use gmc_serve::protocol::stats_to_json;
 use serde::Value;
 use std::io::{Read as _, Write as _};
 
@@ -434,31 +435,14 @@ fn print_report(report: &ReplayReport) {
         let line = serde_json::to_string(&Value::Object(fields)).expect("finite reply values");
         writeln!(out, "{line}").expect("stdout write");
     }
-    let stats = &report.stats;
     eprintln!(
         "replayed {} requests in {:.3}s ({:.0} req/s), verified {}: {}",
         report.submitted,
         report.elapsed,
         report.submitted as f64 / report.elapsed.max(1e-9),
         report.verified,
-        stats
+        stats_to_json(&report.stats)
     );
-    if !stats.latency.stages.is_empty() {
-        let breakdown: Vec<String> = stats
-            .latency
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{} p50 {}ns p99 {}ns",
-                    s.stage,
-                    s.snapshot.quantile(0.5),
-                    s.snapshot.quantile(0.99)
-                )
-            })
-            .collect();
-        eprintln!("stages: {}", breakdown.join("; "));
-    }
     if report.queue_full_replies
         + report.expired_replies
         + report.internal_replies

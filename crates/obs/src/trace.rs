@@ -13,7 +13,7 @@
 //! built by a closure only after admission). Snapshots export as
 //! stable [`TRACE_FORMAT`] (`gmc-traces/1`) JSON.
 
-use serde::Value;
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -21,8 +21,9 @@ use std::sync::Mutex;
 pub const TRACE_FORMAT: &str = "gmc-traces/1";
 
 /// One pipeline stage of a request: where it started (ns offset from
-/// the request's enqueue instant) and how long it lasted.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// the request's enqueue instant) and how long it lasted. Serializes
+/// as one [`TRACE_FORMAT`] span object, keys in field order.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Span {
     /// Stage name (one of the server's fixed stage set).
     pub stage: &'static str,
@@ -32,8 +33,9 @@ pub struct Span {
     pub dur_ns: u64,
 }
 
-/// One completed request trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One completed request trace. Serializes as one [`TRACE_FORMAT`]
+/// trace object, keys in field order.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Trace {
     /// Monotone per-server trace id.
     pub id: u64,
@@ -45,32 +47,6 @@ pub struct Trace {
     pub total_ns: u64,
     /// Per-stage spans in pipeline order; durations sum to `total_ns`.
     pub spans: Vec<Span>,
-}
-
-impl Trace {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_owned(), Value::Number(self.id as f64)),
-            ("label".to_owned(), Value::String(self.label.clone())),
-            ("class".to_owned(), Value::String(self.class.clone())),
-            ("total_ns".to_owned(), Value::Number(self.total_ns as f64)),
-            (
-                "spans".to_owned(),
-                Value::Array(
-                    self.spans
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("stage".to_owned(), Value::String(s.stage.to_owned())),
-                                ("start_ns".to_owned(), Value::Number(s.start_ns as f64)),
-                                ("dur_ns".to_owned(), Value::Number(s.dur_ns as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// A fixed-capacity ring retaining the slowest traces seen so far.
@@ -161,17 +137,22 @@ impl SlowTraceRing {
     }
 }
 
+/// A [`TRACE_FORMAT`] document.
+#[derive(Serialize)]
+struct TracesDoc {
+    format: &'static str,
+    count: usize,
+    traces: Vec<Trace>,
+}
+
 /// Renders traces as a stable [`TRACE_FORMAT`] JSON document:
 /// `{"format":"gmc-traces/1","count":N,"traces":[...]}`.
-pub fn traces_json(traces: &[Trace]) -> String {
-    let doc = Value::Object(vec![
-        ("format".to_owned(), Value::String(TRACE_FORMAT.to_owned())),
-        ("count".to_owned(), Value::Number(traces.len() as f64)),
-        (
-            "traces".to_owned(),
-            Value::Array(traces.iter().map(Trace::to_value).collect()),
-        ),
-    ]);
+pub fn traces_json(traces: Vec<Trace>) -> String {
+    let doc = TracesDoc {
+        format: TRACE_FORMAT,
+        count: traces.len(),
+        traces,
+    };
     serde_json::to_string(&doc).expect("trace JSON is finite")
 }
 
@@ -246,7 +227,7 @@ mod tests {
             }],
         };
         assert_eq!(
-            traces_json(&[t]),
+            traces_json(vec![t]),
             "{\"format\":\"gmc-traces/1\",\"count\":1,\"traces\":[{\"id\":7,\"label\":\"chain\",\"class\":\"miss\",\"total_ns\":12,\"spans\":[{\"stage\":\"solve\",\"start_ns\":2,\"dur_ns\":10}]}]}"
         );
     }

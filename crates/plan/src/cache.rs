@@ -27,6 +27,7 @@ use crate::plan::{instantiate, record_region, PlanSummary, PlanWorkspace, Region
 use gmc::{GmcError, GmcSolution, InferenceMode};
 use gmc_expr::{Chain, Dim, DimBindings, DimVar, SymChain, SymChainError};
 use gmc_kernels::{FlatTermScratch, KernelRegistry};
+use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -106,7 +107,8 @@ impl fmt::Display for CacheStats {
 }
 
 /// Per-shard cache introspection, from [`PlanCache::shard_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Serializes as one `CACHE` shard object, keys in field order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ShardStats {
     /// Shard index (0-based, stable for the life of the cache).
     pub shard: usize,

@@ -248,8 +248,9 @@ pub struct ServeReply {
 
 /// Cumulative serving counters: one snapshot over every owner of a
 /// serve fact (the plan cache, the metrics registry, the served-counter
-/// seqlock, the registered structures). `STATS` renders it as JSON;
-/// `METRICS` renders the same owners as a Prometheus exposition.
+/// seqlock, the registered structures). Its one text view is the
+/// `STATS` JSON ([`protocol::stats_to_json`]); `METRICS` renders the
+/// same owners as a Prometheus exposition.
 #[derive(Clone, Debug, Default)]
 pub struct ServerStats {
     /// The shared plan cache's hit/miss counters. These count cache
@@ -292,35 +293,6 @@ pub struct SupervisionStats {
     pub workers_alive: usize,
 }
 
-impl fmt::Display for ServerStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}; {} coalesced, {} batches, {} structures; {}",
-            self.cache, self.coalesced, self.batches, self.structures, self.served
-        )?;
-        if self.supervision.worker_panics > 0 {
-            write!(
-                f,
-                "; {} worker panics, {} respawns, {} alive",
-                self.supervision.worker_panics,
-                self.supervision.respawns,
-                self.supervision.workers_alive
-            )?;
-        }
-        if !self.latency.total.is_empty() {
-            write!(
-                f,
-                "; latency p50 {}ns p99 {}ns max {}ns",
-                self.latency.total.quantile(0.5),
-                self.latency.total.quantile(0.99),
-                self.latency.total.max()
-            )?;
-        }
-        Ok(())
-    }
-}
-
 /// Per-request completion counters. Unlike the cache counters (which
 /// count instantiates), these count *requests*: every submitted
 /// request ends up in exactly one of `completed` (reached a worker)
@@ -352,24 +324,6 @@ pub struct ServedCounters {
     pub rejected_overload: u64,
     /// Of `rejected`: requests whose deadline passed before dispatch.
     pub expired: u64,
-}
-
-impl fmt::Display for ServedCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} completed ({} hits, {} misses, {} failed), {} rejected",
-            self.completed, self.hits, self.misses, self.failed, self.rejected
-        )?;
-        if self.rejected_overload > 0 || self.expired > 0 {
-            write!(
-                f,
-                " ({} overload, {} expired)",
-                self.rejected_overload, self.expired
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// The [`ServedCounters`] cell: writers serialize on a short mutex and
@@ -582,18 +536,20 @@ struct Shared {
 use gmc_plan::sync::{mutex_lock, read_lock, write_lock};
 
 /// Builds concrete bindings from string-named sizes using only the
-/// chain's own (already interned) variables.
+/// chain's own (already interned) variables. A variable bound twice is
+/// an error, not last-wins.
 fn bind_named_vars(vocabulary: &[DimVar], vars: &[(String, usize)]) -> Result<DimBindings, String> {
     let mut bindings = DimBindings::new();
     for (name, value) in vars {
-        match vocabulary.iter().find(|v| v.name() == name) {
-            Some(var) => bindings.set_var(*var, *value),
-            None => {
-                return Err(format!(
-                    "unknown dimension variable `{name}` for this structure"
-                ))
-            }
+        let Some(var) = vocabulary.iter().find(|v| v.name() == name) else {
+            return Err(format!(
+                "unknown dimension variable `{name}` for this structure"
+            ));
+        };
+        if bindings.get(*var).is_some() {
+            return Err(format!("dimension variable `{name}` bound twice"));
         }
+        bindings.set_var(*var, *value);
     }
     Ok(bindings)
 }
@@ -1016,7 +972,7 @@ impl ServeHandle {
     /// The slow traces as a stable [`TRACE_FORMAT`] (`gmc-traces/1`)
     /// JSON document — the `SLOW` wire command's payload.
     pub fn slow_traces_json(&self) -> String {
-        gmc_obs::trace::traces_json(&self.slow_traces())
+        gmc_obs::trace::traces_json(self.slow_traces())
     }
 
     /// Every metric the server keeps — serve counters, per-stage and

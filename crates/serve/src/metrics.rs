@@ -43,7 +43,8 @@ use gmc_obs::registry::{DEFAULT_SERIES_CAP, OVERFLOW_LABEL};
 use gmc_obs::trace::SlowTraceRing;
 use gmc_obs::{Counter, Exposition, Gauge, Histogram, MetricsRegistry};
 use gmc_plan::sync::read_lock;
-use serde::Value;
+use gmc_plan::ShardStats;
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -288,60 +289,44 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
     expo.render()
 }
 
-/// Renders the `CACHE` introspection summary: cache totals, per-shard
-/// stats and per-structure stats, as one stable JSON object.
-pub(crate) fn render_cache(shared: &Shared) -> String {
-    let totals = shared.cache.stats();
-    let shards: Vec<Value> = shared
-        .cache
-        .shard_stats()
-        .into_iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("shard".to_owned(), num(s.shard as u64)),
-                ("structures".to_owned(), num(s.structures as u64)),
-                ("regions".to_owned(), num(s.regions as u64)),
-                ("hits".to_owned(), num(s.hits)),
-                ("region_misses".to_owned(), num(s.region_misses)),
-                ("structure_misses".to_owned(), num(s.structure_misses)),
-                ("coalesced_waiters".to_owned(), num(s.coalesced_waiters)),
-                ("snapshot_swaps".to_owned(), num(s.snapshot_swaps)),
-            ])
-        })
-        .collect();
-    let structures: Vec<Value> = structure_cache_stats(shared)
-        .into_iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("name".to_owned(), Value::String(s.name)),
-                ("hits".to_owned(), num(s.hits)),
-                ("misses".to_owned(), num(s.misses)),
-                ("regions".to_owned(), num(s.regions as u64)),
-            ])
-        })
-        .collect();
-    let root = Value::Object(vec![
-        (
-            "totals".to_owned(),
-            Value::Object(vec![
-                ("requests".to_owned(), num(totals.requests())),
-                ("hits".to_owned(), num(totals.hits)),
-                ("region_misses".to_owned(), num(totals.region_misses)),
-                ("structure_misses".to_owned(), num(totals.structure_misses)),
-            ]),
-        ),
-        ("shards".to_owned(), Value::Array(shards)),
-        ("structures".to_owned(), Value::Array(structures)),
-    ]);
-    serde_json::to_string(&root).unwrap_or_else(|_| "{}".to_owned())
+/// The `CACHE` document: cache totals, per-shard stats and
+/// per-structure stats, keys in field order.
+#[derive(Serialize)]
+struct CacheDoc {
+    totals: CacheTotals,
+    shards: Vec<ShardStats>,
+    structures: Vec<StructureCacheStats>,
 }
 
-fn num(v: u64) -> Value {
-    Value::Number(v as f64)
+/// The `totals` object of the `CACHE` document.
+#[derive(Serialize)]
+struct CacheTotals {
+    requests: u64,
+    hits: u64,
+    region_misses: u64,
+    structure_misses: u64,
+}
+
+/// Renders the `CACHE` introspection summary as one stable JSON object.
+pub(crate) fn render_cache(shared: &Shared) -> String {
+    let totals = shared.cache.stats();
+    let doc = CacheDoc {
+        totals: CacheTotals {
+            requests: totals.requests(),
+            hits: totals.hits,
+            region_misses: totals.region_misses,
+            structure_misses: totals.structure_misses,
+        },
+        shards: shared.cache.shard_stats(),
+        structures: structure_cache_stats(shared),
+    };
+    serde_json::to_string(&doc).expect("cache counters are finite")
 }
 
 /// Per-structure cache counters, resolved through the server's own
-/// structure registrations.
+/// structure registrations. Serializes as one `CACHE` structure
+/// object, keys in field order.
+#[derive(Serialize)]
 struct StructureCacheStats {
     name: String,
     hits: u64,

@@ -1,12 +1,7 @@
 //! A thin TCP line-protocol listener over `std::net::TcpListener`.
 //!
-//! Each connection reads request lines (see [`crate::protocol`]) and
-//! writes one JSON reply line per request. Four introspection lines
-//! are recognized alongside solve requests: `STATS` (one JSON line of
-//! server counters), `METRICS` (the Prometheus text exposition,
-//! multi-line, terminated by a `# EOF` line), `SLOW` (the retained
-//! slowest traces as one `gmc-traces/1` JSON line) and `CACHE` (one
-//! JSON line of per-shard and per-structure cache stats). This is
+//! Each connection reads protocol lines and writes each one's reply;
+//! [`crate::protocol`] defines both, commands included. This is
 //! deliberately a minimal front end: the batching, coalescing and
 //! caching all live in the worker pool behind the [`ServeHandle`].
 //!
@@ -17,8 +12,8 @@
 //! releases its thread, and a parse error answers with an error line
 //! but keeps the connection alive.
 
-use crate::protocol::{parse_request_line, reply_to_json, stats_to_json};
-use crate::{RequestOptions, ServeHandle, ServeReply};
+use crate::protocol::{bad_request_json, parse_command, raw_request, reply_to_json, Command};
+use crate::ServeHandle;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -227,14 +222,11 @@ fn serve_connection(stream: TcpStream, handle: &ServeHandle, options: &TcpOption
         let line = match read_bounded_line(&mut reader, options.max_line_bytes) {
             LineRead::Line(line) => line,
             LineRead::Oversized => {
-                let reply = ServeReply {
-                    structure: String::new(),
-                    result: Err(crate::ServeError::BadRequest(format!(
-                        "request line exceeds {} bytes",
-                        options.max_line_bytes
-                    ))),
-                };
-                if write_reply_line(&mut writer, &reply_to_json(&reply)).is_err() {
+                let reply = bad_request_json(format!(
+                    "request line exceeds {} bytes",
+                    options.max_line_bytes
+                ));
+                if write_reply_line(&mut writer, &reply).is_err() {
                     break;
                 }
                 continue;
@@ -244,40 +236,17 @@ fn serve_connection(stream: TcpStream, handle: &ServeHandle, options: &TcpOption
         if line.trim().is_empty() {
             continue;
         }
-        let response = if line.trim() == "STATS" {
-            stats_to_json(&handle.stats())
-        } else if line.trim() == "METRICS" {
-            // Multi-line Prometheus text exposition, terminated by a
-            // `# EOF` line so line-oriented clients know where the
-            // scrape ends (every other reply stays one line).
-            let mut body = handle.metrics_prometheus();
-            if !body.is_empty() && !body.ends_with('\n') {
-                body.push('\n');
+        let response = match parse_command(&line) {
+            // `solve_raw` resolves the string-named variables against
+            // the structure's own vocabulary — untrusted names are
+            // never interned.
+            Ok(Command::Solve(request)) => {
+                let (structure, vars, opts) = raw_request(request);
+                reply_to_json(&handle.solve_raw(&structure, vars, opts))
             }
-            body.push_str("# EOF");
-            body
-        } else if line.trim() == "SLOW" {
-            handle.slow_traces_json()
-        } else if line.trim() == "CACHE" {
-            handle.cache_introspection_json()
-        } else {
-            match parse_request_line(&line) {
-                // `solve_raw` resolves the string-named variables
-                // against the structure's own vocabulary — untrusted
-                // names are never interned.
-                Ok((structure, vars, deadline_ms)) => {
-                    let opts = match deadline_ms {
-                        Some(ms) => RequestOptions::with_deadline_in(Duration::from_millis(ms)),
-                        None => RequestOptions::default(),
-                    };
-                    reply_to_json(&handle.solve_raw(&structure, vars, opts))
-                }
-                // Parse errors answer in-band; the connection lives on.
-                Err(e) => reply_to_json(&ServeReply {
-                    structure: String::new(),
-                    result: Err(crate::ServeError::BadRequest(e)),
-                }),
-            }
+            Ok(Command::Introspect(what)) => what.answer(handle),
+            // Parse errors answer in-band; the connection lives on.
+            Err(e) => bad_request_json(e),
         };
         if write_reply_line(&mut writer, &response).is_err() {
             break;

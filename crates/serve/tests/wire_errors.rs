@@ -103,6 +103,16 @@ fn error_codes_round_trip_over_tcp() {
         "{expired}"
     );
 
+    // A repeated binding is rejected, not last-wins: neither the
+    // second size nor the second (generous) deadline is served.
+    let twice = ask("X we_n=10,we_m=20,we_k=30,we_n=99999");
+    assert!(twice.contains("\"code\":\"bad_request\""), "{twice}");
+    let deadline_twice = ask("X we_n=10,we_m=20,we_k=30,deadline_ms=0,deadline_ms=100000");
+    assert!(
+        deadline_twice.contains("\"code\":\"bad_request\""),
+        "{deadline_twice}"
+    );
+
     // Occupy the single admission slot from in-process (a delayed
     // solve holds its permit), then the TCP request is shed.
     let slow = RequestOptions {

@@ -18,6 +18,7 @@ use gmc_expr::DimBindings;
 use gmc_frontend::parse;
 use gmc_kernels::KernelRegistry;
 use gmc_plan::PlanCache;
+use gmc_serve::protocol::stats_to_json;
 use gmc_serve::{ServeConfig, Server};
 use std::sync::Arc;
 
@@ -65,7 +66,7 @@ X := A^-1 * B * C^T
         println!("  kernels:          {}", served.kernels.join(", "));
         println!("  cost:             {:.4e} flops", served.flops);
     }
-    println!("\nserver: {}", server.stats());
+    println!("\nserver: {}", stats_to_json(&server.stats()));
 
     // Persist the warmed plans and warm-start a fresh cache from them,
     // as a serving fleet sharing a plan store would.

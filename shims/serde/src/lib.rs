@@ -223,3 +223,9 @@ impl<T: Serialize> Serialize for [T] {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
+
+impl<T: Serialize, const N: usize> Serialize for [T; N] {
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
+    }
+}

@@ -4,13 +4,21 @@
 //! token scan extracts the struct name and field names, and the impls
 //! are emitted as source text. Supported input: non-generic structs
 //! with named fields — which is all the workspace derives on. Anything
-//! else panics at expansion time with a clear message.
+//! else panics at expansion time with a clear message. The one field
+//! attribute understood is `#[serde(flatten)]`: the field's own object
+//! fields are spliced into the parent object (and read back from it).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct StructShape {
     name: String,
-    fields: Vec<String>,
+    fields: Vec<Field>,
+}
+
+struct Field {
+    name: String,
+    /// Marked `#[serde(flatten)]`.
+    flatten: bool,
 }
 
 fn parse_struct(input: TokenStream, trait_name: &str) -> StructShape {
@@ -64,12 +72,15 @@ fn parse_struct(input: TokenStream, trait_name: &str) -> StructShape {
     let mut fields = Vec::new();
     let mut toks = body.stream().into_iter().peekable();
     loop {
-        // Skip attributes and visibility.
+        // Skip attributes (noting `#[serde(flatten)]`) and visibility.
+        let mut flatten = false;
         loop {
             match toks.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     toks.next();
-                    toks.next();
+                    if let Some(TokenTree::Group(g)) = toks.next() {
+                        flatten |= g.stream().to_string().replace(' ', "") == "serde(flatten)";
+                    }
                 }
                 Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                     toks.next();
@@ -102,43 +113,61 @@ fn parse_struct(input: TokenStream, trait_name: &str) -> StructShape {
                 _ => {}
             }
         }
-        fields.push(field);
+        fields.push(Field {
+            name: field,
+            flatten,
+        });
     }
 
     StructShape { name, fields }
 }
 
 /// Derives the serde shim's `Serialize` for a named-field struct.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_struct(input, "Serialize");
     let mut entries = String::new();
-    for f in &shape.fields {
-        entries.push_str(&format!(
-            "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
-        ));
+    for Field { name: f, flatten } in &shape.fields {
+        entries.push_str(&if *flatten {
+            format!(
+                "match ::serde::Serialize::to_value(&self.{f}) {{\n\
+                     ::serde::Value::Object(inner) => fields.extend(inner),\n\
+                     _ => ::std::panic!(\"#[serde(flatten)] field `{f}` is not an object\"),\n\
+                 }}\n"
+            )
+        } else {
+            format!(
+                "fields.push((::std::string::String::from(\"{f}\"), \
+                 ::serde::Serialize::to_value(&self.{f})));\n"
+            )
+        });
     }
     format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{\n\
-                 ::serde::Value::Object(::std::vec![{entries}])\n\
+                 let mut fields = ::std::vec::Vec::with_capacity({len});\n\
+                 {entries}\
+                 ::serde::Value::Object(fields)\n\
              }}\n\
          }}",
         name = shape.name,
+        len = shape.fields.len(),
     )
     .parse()
     .expect("serde shim derive emitted invalid Rust")
 }
 
 /// Derives the serde shim's `Deserialize` for a named-field struct.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let shape = parse_struct(input, "Deserialize");
     let mut inits = String::new();
-    for f in &shape.fields {
-        inits.push_str(&format!(
-            "{f}: ::serde::Deserialize::from_value(v.get_field(\"{f}\")?)?,"
-        ));
+    for Field { name: f, flatten } in &shape.fields {
+        inits.push_str(&if *flatten {
+            format!("{f}: ::serde::Deserialize::from_value(v)?,")
+        } else {
+            format!("{f}: ::serde::Deserialize::from_value(v.get_field(\"{f}\")?)?,")
+        });
     }
     format!(
         "impl ::serde::Deserialize for {name} {{\n\

@@ -353,6 +353,44 @@ mod tests {
         }
     }
 
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+    struct Inner {
+        a: u64,
+        b: String,
+    }
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+    struct Outer {
+        first: u64,
+        #[serde(flatten)]
+        inner: Inner,
+        last: Vec<u64>,
+    }
+
+    #[derive(serde::Serialize)]
+    struct Pairs {
+        pairs: Vec<[u64; 2]>,
+    }
+
+    #[test]
+    fn flattened_fields_splice_into_the_parent_in_order() {
+        let outer = Outer {
+            first: 1,
+            inner: Inner {
+                a: 2,
+                b: "x".to_owned(),
+            },
+            last: vec![3],
+        };
+        let text = to_string(&outer).unwrap();
+        assert_eq!(text, r#"{"first":1,"a":2,"b":"x","last":[3]}"#);
+        assert_eq!(from_str::<Outer>(&text).unwrap(), outer);
+        let pairs = Pairs {
+            pairs: vec![[1, 2], [3, 4]],
+        };
+        assert_eq!(to_string(&pairs).unwrap(), r#"{"pairs":[[1,2],[3,4]]}"#);
+    }
+
     #[test]
     fn rejects_trailing_garbage() {
         assert!(from_str::<Vec<u64>>("[1, 2] x").is_err());

@@ -12,6 +12,7 @@ use gmc_bench::replay::{replay_trace, ReplayOptions, Verify};
 use gmc_bench::workload::{generate, WorkloadSpec};
 use gmc_expr::{Dim, DimBindings, SymChain, SymFactor, SymOperand};
 use gmc_kernels::KernelRegistry;
+use gmc_serve::protocol::stats_to_json;
 use gmc_serve::{ServeConfig, Server};
 use std::sync::Arc;
 
@@ -91,7 +92,7 @@ fn soak_duplicate_storm_coalesces_in_one_batch() {
     assert!(
         report.stats.coalesced > 0,
         "storm trace in one batch must coalesce duplicates: {}",
-        report.stats
+        stats_to_json(&report.stats)
     );
     // Coalescing means fewer instantiates than completions.
     assert!(report.stats.cache.requests() < report.stats.served.completed);
