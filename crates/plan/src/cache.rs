@@ -1,26 +1,33 @@
-//! The structure-keyed plan cache: concurrent, sharded, copy-on-write.
+//! The structure-keyed plan cache: concurrent and sharded.
 //!
 //! # Concurrency architecture
 //!
 //! The cache is designed so the serving hot path (a cache **hit**) is a
-//! pure read that many threads can take simultaneously:
+//! read that many threads can take simultaneously and that never waits
+//! on a recording:
 //!
 //! * Structures are **sharded** by the hash of their [`StructureKey`];
-//!   each shard holds an immutable snapshot
+//!   each shard holds an immutable structure map
 //!   (`Arc<HashMap<StructureKey, Arc<SymbolicPlan>>>`) behind a
 //!   many-reader lock that is only ever held for the pointer
-//!   clone/swap, never across a solve.
-//! * A hit clones the shard snapshot (one `Arc` bump), looks up the
-//!   region plan, and instantiates it on a **thread-local** workspace
-//!   (DP tables + pattern-matching scratch), so concurrent hits share
-//!   no mutable state and allocate no fresh tables.
+//!   clone/swap, never across a solve. Adding a *structure* rebuilds
+//!   that map copy-on-write (the other structures' entries are
+//!   `Arc`-shared) and swaps it in.
+//! * Each structure keeps its region plans in a map of its own behind
+//!   a many-reader lock, held only to look a region up (cloning its
+//!   `Arc`) or to insert one — never across a record or instantiate.
+//!   Publishing a region is one insert: O(1) amortized, however many
+//!   regions the structure already has.
+//! * A hit looks the region plan up and instantiates it on a
+//!   **thread-local** workspace (DP tables + pattern-matching scratch),
+//!   so concurrent hits share no mutable state and allocate no fresh
+//!   tables.
 //! * Misses go through a per-shard **write mutex**: the miss records
-//!   the region plan, rebuilds the shard map copy-on-write (structure
-//!   entries are `Arc`-shared with the old snapshot; only the touched
-//!   structure's region map is cloned) and swaps the snapshot in. A
-//!   thread that lost the race to record the same region finds it
-//!   present after acquiring the mutex and serves it as a hit — the
-//!   recording is coalesced, never duplicated, and no update is lost.
+//!   the region plan (on the thread-local recorder scratch) and
+//!   publishes it. A thread that lost the race to record the same
+//!   region finds it present after acquiring the mutex and serves it as
+//!   a hit — the recording is coalesced, never duplicated, and no update
+//!   is lost.
 
 use crate::key::{region_signature, structure_key, PreparedKey, StructureKey};
 use crate::plan::{instantiate, record_region, PlanSummary, PlanWorkspace, RegionPlan};
@@ -125,7 +132,8 @@ pub struct ShardStats {
     /// Misses that lost the recording race and were served as hits
     /// after waiting on the shard's write mutex.
     pub coalesced_waiters: u64,
-    /// Copy-on-write snapshot publications (cache writes).
+    /// Region publications (cache writes): one per recorded or adopted
+    /// region.
     pub snapshot_swaps: u64,
 }
 
@@ -186,53 +194,65 @@ impl From<gmc_expr::DimError> for PlanError {
     }
 }
 
-/// Per-structure request counters, `Arc`-shared across every
-/// copy-on-write clone of the owning [`SymbolicPlan`] so counts
-/// survive snapshot swaps.
-#[derive(Debug, Default)]
-pub(crate) struct StructCounters {
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
-}
-
 /// A symbolic plan for one chain structure: one recorded [`RegionPlan`]
-/// per size region encountered so far. Region plans are `Arc`-shared
-/// between cache snapshots, so cloning a `SymbolicPlan` is cheap.
-#[derive(Clone, Debug, Default)]
+/// per size region encountered so far, plus the structure's request
+/// counters. The cache shares one `SymbolicPlan` per structure; regions
+/// recorded later appear in it as they are published.
+#[derive(Debug, Default)]
 pub struct SymbolicPlan {
-    pub(crate) regions: HashMap<Vec<i8>, Arc<RegionPlan>>,
-    pub(crate) counters: Arc<StructCounters>,
+    regions: RwLock<HashMap<Vec<i8>, Arc<RegionPlan>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl SymbolicPlan {
     /// Number of size regions recorded for this structure.
     pub fn region_count(&self) -> usize {
-        self.regions.len()
+        read_lock(&self.regions).len()
     }
 
     /// Requests served from this structure's cached regions.
     pub fn hits(&self) -> u64 {
-        self.counters.hits.load(Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Requests that recorded a new region for this structure.
     pub fn misses(&self) -> u64 {
-        self.counters.misses.load(Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Iterates over the recorded regions' classification summaries.
     pub fn region_summaries(&self) -> impl Iterator<Item = PlanSummary> + '_ {
-        self.regions.values().map(|r| r.summary())
+        let summaries: Vec<PlanSummary> = read_lock(&self.regions)
+            .values()
+            .map(|r| r.summary())
+            .collect();
+        summaries.into_iter()
+    }
+
+    /// The region plan recorded under signature `sig`, if any.
+    pub(crate) fn region(&self, sig: &[i8]) -> Option<Arc<RegionPlan>> {
+        read_lock(&self.regions).get(sig).cloned()
+    }
+
+    /// Every recorded region, sorted by signature.
+    pub(crate) fn sorted_regions(&self) -> Vec<(Vec<i8>, Arc<RegionPlan>)> {
+        let mut regions: Vec<(Vec<i8>, Arc<RegionPlan>)> = read_lock(&self.regions)
+            .iter()
+            .map(|(sig, r)| (sig.clone(), Arc::clone(r)))
+            .collect();
+        regions.sort_by(|a, b| a.0.cmp(&b.0));
+        regions
     }
 }
 
-/// One shard: an immutable snapshot swapped under a write mutex, plus
-/// its own request counters (summed for [`PlanCache::stats`], exposed
-/// individually through [`PlanCache::shard_stats`]).
+/// One shard: an immutable structure map swapped under a write mutex,
+/// plus its own request counters (summed for [`PlanCache::stats`],
+/// exposed individually through [`PlanCache::shard_stats`]).
 #[derive(Debug, Default)]
 struct Shard {
-    /// The current snapshot. The lock is held only to clone or swap the
-    /// `Arc`, never across a record or instantiate.
+    /// The current structure map. The lock is held only to clone or
+    /// swap the `Arc`, never across a record or instantiate.
     map: RwLock<Arc<StructMap>>,
     /// Serializes recording within the shard, so concurrent misses on
     /// the same region coalesce into one symbolic solve.
@@ -242,7 +262,7 @@ struct Shard {
     structure_misses: AtomicU64,
     /// Lost-race misses served as hits after waiting on `write`.
     coalesced_waiters: AtomicU64,
-    /// Copy-on-write snapshot publications.
+    /// Region publications.
     snapshot_swaps: AtomicU64,
 }
 
@@ -255,23 +275,29 @@ impl Shard {
         Arc::clone(&read_lock(&self.map))
     }
 
-    /// Publishes `region` under `(key, sig)` copy-on-write, returning
-    /// the structure's (snapshot-surviving) counters. Caller must hold
-    /// the shard's write mutex.
+    /// Publishes `region` under `(key, sig)` and returns the
+    /// structure's plan. A known structure gains the region by one
+    /// insert into its region map; a new one is added to a copy of the
+    /// structure map, which is then swapped in. Caller must hold the
+    /// shard's write mutex.
     fn publish(
         &self,
         key: StructureKey,
         sig: Vec<i8>,
         region: Arc<RegionPlan>,
-    ) -> Arc<StructCounters> {
+    ) -> Arc<SymbolicPlan> {
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
         let current = self.snapshot();
+        if let Some(plan) = current.get(&key) {
+            write_lock(&plan.regions).insert(sig, region);
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(SymbolicPlan::default());
+        write_lock(&plan.regions).insert(sig, region);
         let mut next: StructMap = (*current).clone();
-        let plan = Arc::make_mut(next.entry(key).or_default());
-        plan.regions.insert(sig, region);
-        let counters = Arc::clone(&plan.counters);
+        next.insert(key, Arc::clone(&plan));
         *write_lock(&self.map) = Arc::new(next);
-        counters
+        plan
     }
 }
 
@@ -456,8 +482,8 @@ impl PlanCache {
         }
     }
 
-    /// The cached plan for a chain structure, if any (a snapshot:
-    /// regions recorded later do not appear in it).
+    /// The cached plan for a chain structure, if any. It is the cache's
+    /// own: regions recorded later appear in it.
     pub fn plan_for(&self, chain: &SymChain) -> Option<Arc<SymbolicPlan>> {
         self.plan_keyed(&self.prepare(chain))
     }
@@ -467,7 +493,7 @@ impl PlanCache {
         self.shard_for(&key.key).snapshot().get(&key.key).cloned()
     }
 
-    /// Every cached structure, as `(key, plan)` snapshots.
+    /// Every cached structure, as `(key, plan)` pairs.
     pub(crate) fn structures(&self) -> Vec<(StructureKey, Arc<SymbolicPlan>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -491,7 +517,7 @@ impl PlanCache {
         if shard
             .snapshot()
             .get(&key)
-            .is_some_and(|p| p.regions.contains_key(&sig))
+            .is_some_and(|p| p.region(&sig).is_some())
         {
             return false;
         }
@@ -504,8 +530,7 @@ impl PlanCache {
     pub fn region_summary(&self, chain: &SymChain, bindings: &DimBindings) -> Option<PlanSummary> {
         let sizes = chain.bind_dims(bindings).ok()?;
         self.plan_for(chain)?
-            .regions
-            .get(&region_signature(&sizes))
+            .region(&region_signature(&sizes))
             .map(|r| r.summary())
     }
 
@@ -588,17 +613,17 @@ impl PlanCache {
         let shard = self.shard_for(&key.key);
         let hit = |plan: &SymbolicPlan, region: &RegionPlan| {
             shard.hits.fetch_add(1, Ordering::Relaxed);
-            plan.counters.hits.fetch_add(1, Ordering::Relaxed);
+            plan.hits.fetch_add(1, Ordering::Relaxed);
             let lookup_done = started.map(|_| Instant::now());
             let solution = self.instantiate_region(region, &key.vars, concrete, bindings)?;
             Ok((solution, PlanOutcome::Hit, timing(started, lookup_done)))
         };
 
-        // Fast path: hit on the immutable snapshot — a pure read.
+        // Fast path: a hit only reads.
         let snapshot = shard.snapshot();
         if let Some(plan) = snapshot.get(&key.key) {
-            if let Some(region) = plan.regions.get(sig) {
-                return hit(plan, region);
+            if let Some(region) = plan.region(sig) {
+                return hit(plan, &region);
             }
         }
         drop(snapshot);
@@ -608,17 +633,17 @@ impl PlanCache {
         let snapshot = shard.snapshot();
         let structure_known = snapshot.contains_key(&key.key);
         if let Some(plan) = snapshot.get(&key.key) {
-            if let Some(region) = plan.regions.get(sig) {
+            if let Some(region) = plan.region(sig) {
                 // Another thread recorded this region while we waited:
                 // the recording coalesced, serve it as a hit.
                 drop(guard);
                 shard.coalesced_waiters.fetch_add(1, Ordering::Relaxed);
-                return hit(plan, region);
+                return hit(plan, &region);
             }
         }
 
         let lookup_done = started.map(|_| Instant::now());
-        let (region, solution) = with_scratch(|scratch, _| {
+        let (region, solution) = with_scratch(|scratch, workspace| {
             record_region(
                 &self.registry,
                 self.inference,
@@ -626,10 +651,11 @@ impl PlanCache {
                 &key.vars,
                 concrete,
                 scratch,
+                workspace,
             )
         });
-        let counters = shard.publish(key.key.clone(), sig.to_vec(), Arc::new(region));
-        counters.misses.fetch_add(1, Ordering::Relaxed);
+        let plan = shard.publish(key.key.clone(), sig.to_vec(), Arc::new(region));
+        plan.misses.fetch_add(1, Ordering::Relaxed);
         drop(guard);
         let outcome = if structure_known {
             shard.region_misses.fetch_add(1, Ordering::Relaxed);
@@ -754,12 +780,12 @@ impl PlanCache {
                 let known = shard
                     .snapshot()
                     .get(&prepared.key)
-                    .is_some_and(|p| p.regions.contains_key(&sig));
+                    .is_some_and(|p| p.region(&sig).is_some());
                 if !known {
                     let concrete = chain.bind(&bindings)?;
                     // Unsolvable regions are recorded too: the cached
                     // plan *is* the (negative) answer.
-                    let (region, _solution) = with_scratch(|scratch, _| {
+                    let (region, _solution) = with_scratch(|scratch, workspace| {
                         record_region(
                             &self.registry,
                             self.inference,
@@ -767,6 +793,7 @@ impl PlanCache {
                             vars,
                             &concrete,
                             scratch,
+                            workspace,
                         )
                     });
                     shard.publish(prepared.key.clone(), sig, Arc::new(region));

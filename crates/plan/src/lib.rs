@@ -76,6 +76,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod dominance;
 mod key;
 mod plan;
 mod store;

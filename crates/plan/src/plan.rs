@@ -60,19 +60,17 @@
 //! child it inspects, through the same walk (which skips cells already
 //! built).
 
+use crate::dominance::{op_terms, strictly_below, total_into, DominanceScratch, Mono, Terms};
 use gmc::{GmcError, GmcSolution, InferenceMode, Step};
-use gmc_analysis::infer_properties;
-use gmc_expr::{
-    Chain, CostPoly, Dim, DimVar, Expr, Operand, PropertySet, Shape, SymChain, SymShape,
-};
+use gmc_analysis::{infer_properties, ProductMemo};
+use gmc_expr::{Chain, Dim, DimVar, Expr, Operand, PropertySet, Shape, SymChain};
 use gmc_kernels::{FlatTermScratch, FlopFormula, KernelOp, KernelRegistry};
 use gmc_pattern::{Bindings, Var};
-use std::cell::OnceCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// The pattern variables of a binary-product kernel (`X · Y`), in the
 /// order of a [`Candidate`]'s `binds`.
@@ -295,6 +293,7 @@ pub(crate) fn cell_index(n: usize, i: usize, j: usize) -> usize {
 pub(crate) struct PlanWorkspace {
     solved: Solved,
     entries: Vec<Ranked>,
+    record: RecordScratch,
 }
 
 /// Shared DP result state for the recorder and the instantiation walk.
@@ -314,12 +313,6 @@ struct Solved {
 }
 
 impl Solved {
-    fn new(n: usize) -> Solved {
-        let mut s = Solved::default();
-        s.reset(n);
-        s
-    }
-
     /// Clears the state for a chain of length `n`, reusing the existing
     /// allocations where large enough — the instantiate hot path holds
     /// one `Solved` per thread and resets it per request, mirroring
@@ -553,40 +546,156 @@ fn write_parenthesization(chain: &Chain, s: &Solved, i: usize, j: usize, out: &m
     out.push(')');
 }
 
-/// A candidate while its region is being recorded, with its symbolic
-/// formula and, once pruning or symbolic resolution asks for it, that
-/// formula's polynomial. Only `cand` is kept in the plan.
-struct Lifted {
+/// A candidate found while recording: the plan's [`Candidate`], its
+/// operation (taken for the cell's winner), its cost at the recording
+/// binding, and its operation-cost polynomial as a range of
+/// [`RecordScratch::op_terms`].
+#[derive(Debug)]
+struct Found {
     cand: Candidate,
-    formula: FlopFormula,
-    op_poly: OnceCell<CostPoly>,
+    op: Option<KernelOp>,
+    cost: f64,
+    poly: Range<usize>,
 }
 
-impl Lifted {
-    fn op_poly(&self) -> &CostPoly {
-        self.op_poly.get_or_init(|| self.formula.poly())
+/// Reusable recorder state, held per thread next to the instantiate
+/// workspace and reset by every recording, so a record allocates little
+/// beyond the plan it returns. Nothing in it outlives one recording.
+#[derive(Debug, Default)]
+pub(crate) struct RecordScratch {
+    /// Compositional property inference, once per kind of product.
+    props: ProductMemo,
+    /// Each chain position's dimension as a slot or a constant.
+    dim_slots: Vec<SlotDim>,
+    /// Per factor, the first factor with its operand's name (a chain
+    /// may repeat an operand, as in `Aᵀ A`) and that operand's shape.
+    first: Vec<usize>,
+    factor_shapes: Vec<(SlotDim, SlotDim)>,
+    /// Each slot variable's position in `DimVar` order.
+    rank: Vec<u16>,
+    /// Per cell: whether its property set depends on the split that
+    /// built it, the winner's kernel, and — for resolved cells and the
+    /// diagonal — its total cost polynomial in `totals`.
+    unstable: Vec<bool>,
+    kernel_idx: Vec<usize>,
+    total_at: Vec<Option<Range<usize>>>,
+    totals: Vec<(Mono, f64)>,
+    /// The current cell's candidates and their polynomials.
+    found: Vec<Found>,
+    keep: Vec<bool>,
+    op_terms: Vec<(Mono, f64)>,
+    winner_total: Vec<(Mono, f64)>,
+    rival_total: Vec<(Mono, f64)>,
+    partial: Vec<(Mono, f64)>,
+    dominance: DominanceScratch,
+}
+
+impl RecordScratch {
+    fn reset(&mut self, sym: &SymChain, vars: &[DimVar], len: usize) {
+        let slot = |d: Dim| match d {
+            Dim::Const(c) => SlotDim::Const(c),
+            Dim::Var(v) => SlotDim::Slot(
+                vars.iter()
+                    .position(|&x| x == v)
+                    .expect("chain dimensions only reference chain variables"),
+            ),
+        };
+        self.props.clear();
+        self.dim_slots.clear();
+        self.dim_slots.extend(sym.dims().into_iter().map(slot));
+        let factors = sym.factors();
+        self.first.clear();
+        self.first.extend((0..factors.len()).map(|t| {
+            let name = factors[t].operand().name();
+            (0..=t)
+                .find(|&u| factors[u].operand().name() == name)
+                .expect("t itself matches")
+        }));
+        self.factor_shapes.clear();
+        self.factor_shapes.extend(factors.iter().map(|f| {
+            let s = f.operand().shape();
+            (slot(s.rows()), slot(s.cols()))
+        }));
+        self.rank.clear();
+        self.rank.extend(vars.iter().map(|v| {
+            u16::try_from(vars.iter().filter(|&w| w < v).count()).expect("few variables")
+        }));
+        self.unstable.clear();
+        self.unstable.resize(len, false);
+        self.kernel_idx.clear();
+        self.kernel_idx.resize(len, 0);
+        self.total_at.clear();
+        self.total_at.resize(len, None);
+        self.totals.clear();
     }
 
-    /// Whether the within-split scan picks `self` over `other` at every
-    /// binding of the region: either its operation-cost polynomial is
-    /// strictly smaller everywhere, or both formulas are identical (so
-    /// they evaluate to the same bits) and the scan's tie-break —
-    /// specificity, then registration order — favors `self`. Equal but
-    /// differently-built polynomials do not count: their `f64`
-    /// evaluations can round apart.
-    fn always_beats_within_split(&self, other: &Lifted) -> bool {
-        let (a, b) = (&self.cand, &other.cand);
-        debug_assert_eq!(a.k, b.k);
-        self.op_poly().strictly_dominated_by(other.op_poly())
-            || (a.formula == b.formula
-                && (a.specificity > b.specificity
-                    || (a.specificity == b.specificity && a.kernel_idx < b.kernel_idx)))
+    /// Cell `(a, b)` of the current recording as a kernel operand: its
+    /// provenance and its shape in slots.
+    fn side(&self, a: usize, b: usize) -> (OperandRef, (SlotDim, SlotDim)) {
+        if a == b {
+            let t = self.first[a];
+            (OperandRef::Factor(t), self.factor_shapes[t])
+        } else {
+            (
+                OperandRef::Temp(a, b),
+                (self.dim_slots[a], self.dim_slots[b + 1]),
+            )
+        }
     }
+
+    /// The total cost polynomial of cell `(a, b)`, if it has one.
+    fn total(&self, n: usize, a: usize, b: usize) -> Option<&Terms> {
+        self.total_at[cell_index(n, a, b)]
+            .clone()
+            .map(|r| &self.totals[r])
+    }
+}
+
+/// The operand under a chain factor's or a temporary's expression.
+fn operand_of(e: &Expr) -> &Operand {
+    match e {
+        Expr::Symbol(op) => op,
+        Expr::Transpose(inner) | Expr::Inverse(inner) | Expr::InverseTranspose(inner) => {
+            operand_of(inner)
+        }
+        other => unreachable!("a DP cell holds a factor or a temporary, got {other}"),
+    }
+}
+
+/// Whether the within-split scan picks `a` over `b` at every binding of
+/// the region: either both formulas are identical (so they evaluate to
+/// the same bits) and the scan's tie-break — specificity, then
+/// registration order — favors `a`, or `a`'s operation-cost polynomial
+/// is strictly smaller everywhere. Equal but differently-built
+/// polynomials do not count: their `f64` evaluations can round apart.
+fn beats_within_split(
+    a: &Found,
+    b: &Found,
+    op_terms: &[(Mono, f64)],
+    dominance: &mut DominanceScratch,
+) -> bool {
+    let (x, y) = (&a.cand, &b.cand);
+    debug_assert_eq!(x.k, y.k);
+    (x.formula == y.formula
+        && (x.specificity > y.specificity
+            || (x.specificity == y.specificity && x.kernel_idx < y.kernel_idx)))
+        || strictly_below(
+            &op_terms[a.poly.clone()],
+            &op_terms[b.poly.clone()],
+            dominance,
+        )
 }
 
 /// Records the region plan for `chain` (the concrete binding of `sym`,
 /// whose variables in first-occurrence order are `vars`) and returns it
 /// together with the solve result.
+///
+/// The recording is the concrete DP (the same matches, the same winner
+/// selection) plus, per cell, the candidate list lowered onto slots,
+/// pruning, symbolic resolution and the deferred cells' property sets.
+/// Operands are known by their cell — a factor or a temporary — so
+/// formulas are built in slots directly, and compositional property
+/// inference goes through a [`ProductMemo`] kept in `workspace`.
 pub(crate) fn record_region(
     registry: &KernelRegistry,
     inference: InferenceMode,
@@ -594,169 +703,152 @@ pub(crate) fn record_region(
     vars: &[DimVar],
     chain: &Chain,
     scratch: &mut FlatTermScratch,
+    workspace: &mut PlanWorkspace,
 ) -> (RegionPlan, Result<GmcSolution<f64>, GmcError>) {
     let n = chain.len();
     let len = n * (n + 1) / 2;
-    let dims = sym.dims();
-    let mut solved = Solved::new(n);
+    let PlanWorkspace {
+        solved,
+        entries,
+        record: rs,
+    } = workspace;
+    solved.reset(n);
     solved.seed_leaves(chain);
+    rs.reset(sym, vars, len);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
-    let mut total_polys: Vec<Option<CostPoly>> = vec![None; len];
-    let mut unstable: Vec<bool> = vec![false; len];
-
-    // Operand name → symbolic shape (for formulas) and → provenance
-    // (for re-instantiation). Factors first; temporaries as created.
-    let mut sym_shapes: HashMap<String, SymShape> = HashMap::new();
-    let mut refs: HashMap<String, OperandRef> = HashMap::new();
-    for (t, f) in sym.factors().iter().enumerate() {
-        sym_shapes
-            .entry(f.operand().name().to_owned())
-            .or_insert_with(|| f.operand().shape());
-        refs.entry(f.operand().name().to_owned())
-            .or_insert(OperandRef::Factor(t));
-    }
-
     for i in 0..n {
-        total_polys[cell_index(n, i, i)] = Some(CostPoly::zero());
+        rs.total_at[cell_index(n, i, i)] = Some(0..0);
     }
 
-    struct RawCand {
-        k: usize,
-        kernel_idx: usize,
-        spec: u8,
-        op: KernelOp,
-        cost: f64,
-        binds: [Option<OperandRef>; 2],
-    }
+    // The property set of split `k`'s temporary.
+    let split_props =
+        |memo: &mut ProductMemo, solved: &Solved, i: usize, k: usize, j: usize| match inference {
+            InferenceMode::Compositional => memo.infer(
+                solved.expr[cell_index(n, i, k)].as_ref().expect("split"),
+                solved.expr[cell_index(n, k + 1, j)]
+                    .as_ref()
+                    .expect("split"),
+            ),
+            InferenceMode::Deep => {
+                let unfolded =
+                    Expr::times((i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>());
+                infer_properties(&unfolded)
+            }
+        };
 
     for l in 1..n {
         for i in 0..(n - l) {
             let j = i + l;
             let idx = cell_index(n, i, j);
 
-            let dynamic =
-                (i..j).any(|k| unstable[cell_index(n, i, k)] || unstable[cell_index(n, k + 1, j)]);
+            let dynamic = (i..j)
+                .any(|k| rs.unstable[cell_index(n, i, k)] || rs.unstable[cell_index(n, k + 1, j)]);
 
             // Enumerate every candidate of every computable split.
-            let mut raw: Vec<RawCand> = Vec::new();
+            let mut found = std::mem::take(&mut rs.found);
+            found.clear();
             for k in i..j {
                 let (li, ri) = (cell_index(n, i, k), cell_index(n, k + 1, j));
                 if solved.cost[li].is_none() || solved.cost[ri].is_none() {
                     continue;
                 }
-                let le = solved.expr[li].clone().expect("computable cell");
-                let re = solved.expr[ri].clone().expect("computable cell");
-                registry.for_each_product_match(&le, &re, scratch, |kernel_idx, kernel, b| {
+                let le = solved.expr[li].as_ref().expect("computable cell");
+                let re = solved.expr[ri].as_ref().expect("computable cell");
+                let left_operand = operand_of(le);
+                let (left, right) = (rs.side(i, k), rs.side(k + 1, j));
+                // A bound operand is the left or the right child's.
+                let side_of = |o: &Operand| if o == left_operand { left } else { right };
+                registry.for_each_product_match(le, re, scratch, |kernel_idx, kernel, b| {
                     let op = kernel.instantiate(b);
                     let cost = op.flops();
-                    let binds = PATTERN_VARS.map(|v| {
-                        b.get(v).map(|operand| {
-                            refs.get(operand.name())
-                                .copied()
-                                .expect("bound operand is a factor or temporary")
-                        })
-                    });
-                    raw.push(RawCand {
-                        k,
-                        kernel_idx,
-                        spec: kernel.specificity(),
-                        op,
+                    let formula = FlopFormula::from_op_with(&op, |o| side_of(o).1);
+                    let binds = PATTERN_VARS.map(|v| b.get(v).map(|o| side_of(o).0));
+                    found.push(Found {
+                        cand: Candidate {
+                            k,
+                            kernel_idx,
+                            specificity: kernel.specificity(),
+                            formula,
+                            binds,
+                        },
+                        op: Some(op),
                         cost,
-                        binds,
+                        poly: 0..0,
                     });
                 });
             }
 
-            if raw.is_empty() {
+            if found.is_empty() {
                 plan_cells[idx] = if dynamic {
                     CellPlan::Dynamic
                 } else {
                     CellPlan::Unsolvable
                 };
-                unstable[idx] = dynamic;
+                rs.unstable[idx] = dynamic;
+                rs.found = found;
                 continue;
             }
 
             // Winner selection, exactly as the concrete optimizer.
-            let entries: Vec<Ranked> = raw
-                .iter()
-                .map(|c| Ranked {
-                    k: c.k,
-                    kernel_idx: c.kernel_idx,
-                    spec: c.spec,
-                    cost: c.cost,
-                })
-                .collect();
-            let (wi, total) = select_two_stage(&entries, |k| {
-                let cl = solved.cost[cell_index(n, i, k)].expect("computable split");
-                let cr = solved.cost[cell_index(n, k + 1, j)].expect("computable split");
-                cl + cr
-            })
-            .expect("non-empty candidate list");
-            let wk = raw[wi].k;
-            let wle = solved.expr[cell_index(n, i, wk)].clone().expect("winner");
-            let wre = solved.expr[cell_index(n, wk + 1, j)]
-                .clone()
-                .expect("winner");
-            let props = infer_cell_props(inference, chain, &wle, &wre, i, j);
-            let temp = temporary(i, j, raw[wi].op.result_shape(), props);
-            // A sub-chain result always has shape d[i] × d[j+1],
-            // independent of how it is parenthesized.
-            sym_shapes.insert(temp.name().to_owned(), SymShape::new(dims[i], dims[j + 1]));
-            refs.insert(temp.name().to_owned(), OperandRef::Temp(i, j));
+            entries.clear();
+            entries.extend(found.iter().map(|f| Ranked {
+                k: f.cand.k,
+                kernel_idx: f.cand.kernel_idx,
+                spec: f.cand.specificity,
+                cost: f.cost,
+            }));
+            let (wi, total) = select_two_stage(entries, |k| solved.base(i, k, j))
+                .expect("non-empty candidate list");
+            let wk = found[wi].cand.k;
+            let props = split_props(&mut rs.props, solved, i, wk, j);
+            let op = found[wi]
+                .op
+                .take()
+                .expect("each candidate has its operation");
+            let temp = temporary(i, j, op.result_shape(), props);
             solved.cost[idx] = Some(total);
             solved.expr[idx] = Some(temp.expr());
             solved.split[idx] = wk;
-            solved.op[idx] = Some(raw[wi].op.clone());
-            solved.kernel[idx] = registry.kernels()[raw[wi].kernel_idx].name().to_owned();
-            solved.op_cost[idx] = raw[wi].cost;
+            solved.op[idx] = Some(op);
+            solved.op_cost[idx] = found[wi].cost;
+            rs.kernel_idx[idx] = found[wi].cand.kernel_idx;
 
             if dynamic {
                 plan_cells[idx] = CellPlan::Dynamic;
-                unstable[idx] = true;
+                rs.unstable[idx] = true;
+                rs.found = found;
                 continue;
             }
 
-            // Lift candidates to symbolic form.
-            let mut lifted: Vec<Lifted> = raw
-                .iter()
-                .map(|c| {
-                    let formula = FlopFormula::from_op(&c.op, |name| sym_shapes[name]);
-                    Lifted {
-                        cand: Candidate {
-                            k: c.k,
-                            kernel_idx: c.kernel_idx,
-                            specificity: c.spec,
-                            formula: lower(&formula, vars)
-                                .expect("chain formulas only reference chain variables"),
-                            binds: c.binds,
-                        },
-                        formula,
-                        op_poly: OnceCell::new(),
-                    }
-                })
-                .collect();
+            rs.op_terms.clear();
+            for f in &mut found {
+                let start = rs.op_terms.len();
+                op_terms(&f.cand.formula, &rs.rank, &mut rs.op_terms);
+                f.poly = start..rs.op_terms.len();
+            }
 
             // Prune same-split candidates that a sibling beats at every
             // binding — they can never be the within-split winner.
-            let mut keep = vec![true; lifted.len()];
-            for b in 0..lifted.len() {
-                for a in 0..lifted.len() {
-                    if a == b || !keep[a] || lifted[a].cand.k != lifted[b].cand.k {
+            let keep = &mut rs.keep;
+            keep.clear();
+            keep.resize(found.len(), true);
+            for b in 0..found.len() {
+                for a in 0..found.len() {
+                    if a == b || !keep[a] || found[a].cand.k != found[b].cand.k {
                         continue;
                     }
-                    if lifted[a].always_beats_within_split(&lifted[b]) {
+                    if beats_within_split(&found[a], &found[b], &rs.op_terms, &mut rs.dominance) {
                         keep[b] = false;
                         break;
                     }
                 }
             }
-            let winner_key = (raw[wi].k, raw[wi].kernel_idx);
-            let mut iter_keep = keep.iter();
-            lifted.retain(|_| *iter_keep.next().expect("keep mask aligned"));
-            let w = lifted
+            let winner_key = (wk, found[wi].cand.kernel_idx);
+            let mut kept = keep.iter();
+            found.retain(|_| *kept.next().expect("keep mask aligned"));
+            let w = found
                 .iter()
-                .position(|c| (c.cand.k, c.cand.kernel_idx) == winner_key)
+                .position(|f| (f.cand.k, f.cand.kernel_idx) == winner_key)
                 .expect("winner survives pruning");
 
             // Symbolic resolution: the ρ-winner surely wins at every
@@ -767,39 +859,54 @@ pub(crate) fn record_region(
             // DP's tie-break (earliest split) would pick the winner: the
             // DP compares `f64` totals accumulated along different
             // splits, and polynomially equal totals can round apart.
-            // Total polynomials are built only as the check reaches
-            // them: most cells are deferred by the first rival.
-            let total_poly = |c: &Lifted| match (
-                &total_polys[cell_index(n, i, c.cand.k)],
-                &total_polys[cell_index(n, c.cand.k + 1, j)],
-            ) {
-                (Some(l), Some(r)) => Some(l.add(r).add(c.op_poly())),
-                _ => None,
-            };
-            let winner_total = total_poly(&lifted[w]);
-            let winner_resolved = winner_total.as_ref().is_some_and(|wt| {
-                lifted.iter().enumerate().all(|(ci, c)| {
-                    if ci == w {
+            // A candidate has a total polynomial only if both its
+            // children are resolved.
+            let total_into_buf = |rs: &RecordScratch,
+                                  f: &Found,
+                                  out: &mut Vec<(Mono, f64)>,
+                                  partial: &mut Vec<(Mono, f64)>| {
+                match (rs.total(n, i, f.cand.k), rs.total(n, f.cand.k + 1, j)) {
+                    (Some(l), Some(r)) => {
+                        total_into(l, r, &rs.op_terms[f.poly.clone()], partial, out);
                         true
-                    } else if c.cand.k == lifted[w].cand.k {
-                        lifted[w].always_beats_within_split(c)
-                    } else {
-                        total_poly(c).is_some_and(|ct| wt.strictly_dominated_by(&ct))
                     }
-                })
-            });
-
-            if winner_resolved {
-                let winner = lifted.swap_remove(w);
-                total_polys[idx] = winner_total;
+                    _ => false,
+                }
+            };
+            let (mut wt, mut ct, mut partial, mut dom) = (
+                std::mem::take(&mut rs.winner_total),
+                std::mem::take(&mut rs.rival_total),
+                std::mem::take(&mut rs.partial),
+                std::mem::take(&mut rs.dominance),
+            );
+            let resolved = total_into_buf(rs, &found[w], &mut wt, &mut partial)
+                && (0..found.len()).all(|c| {
+                    if c == w {
+                        true
+                    } else if found[c].cand.k == wk {
+                        beats_within_split(&found[w], &found[c], &rs.op_terms, &mut dom)
+                    } else {
+                        total_into_buf(rs, &found[c], &mut ct, &mut partial)
+                            && strictly_below(&wt, &ct, &mut dom)
+                    }
+                });
+            if resolved {
+                let start = rs.totals.len();
+                rs.totals.extend_from_slice(&wt);
+                rs.total_at[idx] = Some(start..rs.totals.len());
+            }
+            (rs.winner_total, rs.rival_total, rs.partial, rs.dominance) = (wt, ct, partial, dom);
+            if resolved {
+                let winner = found.swap_remove(w);
                 plan_cells[idx] = CellPlan::Resolved {
                     cand: Box::new(winner.cand),
                     props,
                 };
-                unstable[idx] = false;
+                rs.found = found;
                 continue;
             }
-            let cands: Vec<Candidate> = lifted.into_iter().map(|l| l.cand).collect();
+            let cands: Vec<Candidate> = found.drain(..).map(|f| f.cand).collect();
+            rs.found = found;
 
             // Deferred: record the winner-only property inference per
             // candidate split. A deferred cell has no unstable
@@ -813,13 +920,7 @@ pub(crate) fn record_region(
                     splits.dedup();
                     let by_split: Vec<(usize, PropertySet)> = splits
                         .iter()
-                        .map(|&k| {
-                            let le = solved.expr[cell_index(n, i, k)].as_ref().expect("split");
-                            let re = solved.expr[cell_index(n, k + 1, j)]
-                                .as_ref()
-                                .expect("split");
-                            (k, infer_cell_props(inference, chain, le, re, i, j))
-                        })
+                        .map(|&k| (k, split_props(&mut rs.props, solved, i, k, j)))
                         .collect();
                     if by_split.iter().all(|(_, p)| *p == props) {
                         DeferredProps::Stable(props)
@@ -828,7 +929,7 @@ pub(crate) fn record_region(
                     }
                 }
             };
-            unstable[idx] = matches!(deferred_props, DeferredProps::PerSplit(_));
+            rs.unstable[idx] = matches!(deferred_props, DeferredProps::PerSplit(_));
             plan_cells[idx] = CellPlan::Deferred {
                 cands,
                 props: deferred_props,
@@ -836,7 +937,10 @@ pub(crate) fn record_region(
         }
     }
 
-    let solution = extract_solution(chain, &mut solved);
+    if solved.cost[cell_index(n, 0, n - 1)].is_some() {
+        name_kernels(solved, registry, &rs.kernel_idx, 0, n - 1);
+    }
+    let solution = extract_solution(chain, solved);
     (
         RegionPlan {
             n,
@@ -845,6 +949,24 @@ pub(crate) fn record_region(
         },
         solution,
     )
+}
+
+/// Names the kernel of every cell of the winning tree under `(i, j)`.
+fn name_kernels(
+    s: &mut Solved,
+    registry: &KernelRegistry,
+    kernel_idx: &[usize],
+    i: usize,
+    j: usize,
+) {
+    if i == j {
+        return;
+    }
+    let idx = s.idx(i, j);
+    let k = s.split[idx];
+    s.kernel[idx] = registry.kernels()[kernel_idx[idx]].name().to_owned();
+    name_kernels(s, registry, kernel_idx, i, k);
+    name_kernels(s, registry, kernel_idx, k + 1, j);
 }
 
 /// Replays a recorded region plan at a concrete binding: ranks every
@@ -868,7 +990,9 @@ pub(crate) fn instantiate(
     debug_assert_eq!(n, chain.len());
     debug_assert_eq!(region.cells.len(), n * (n + 1) / 2);
     debug_assert_eq!(values.len(), region.vars.len());
-    let PlanWorkspace { solved, entries } = workspace;
+    let PlanWorkspace {
+        solved, entries, ..
+    } = workspace;
     solved.reset(n);
     for i in 0..n {
         let idx = solved.idx(i, i);
@@ -977,7 +1101,7 @@ fn match_dynamic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmc_expr::{DimBindings, Property};
+    use gmc_expr::{DimBindings, Property, SymShape};
     use gmc_kernels::{InvKind, Side, Uplo};
 
     /// One operation per formula variant (every inverse kind, both

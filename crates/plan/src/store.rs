@@ -586,9 +586,8 @@ impl PlanCache {
         let mut entries = self.structures();
         entries.sort_by_cached_key(|(key, _)| serde_json::to_string(key).expect("key serializes"));
         for (key, plan) in entries {
-            let mut regions: Vec<(&Vec<i8>, &Arc<RegionPlan>)> = plan.regions.iter().collect();
-            regions.sort_by_key(|(sig, _)| (*sig).clone());
-            let regions: Vec<Value> = regions
+            let regions: Vec<Value> = plan
+                .sorted_regions()
                 .into_iter()
                 .map(|(sig, region)| {
                     Value::Object(vec![
