@@ -546,3 +546,221 @@ proptest! {
         }
     }
 }
+
+/// Random values for `chain`'s variables: each drawn log-uniformly
+/// from `1..=2^max_log2`.
+fn log_uniform_binding(
+    chain: &gmc_expr::SymChain,
+    max_log2: f64,
+    rng: &mut StdRng,
+) -> gmc_expr::DimBindings {
+    use rand::Rng;
+    let mut b = gmc_expr::DimBindings::new();
+    for v in chain.vars() {
+        b.set_var(v, 2f64.powf(rng.gen_range(0.0..max_log2)) as usize);
+    }
+    b
+}
+
+/// Another binding of `chain` in the size region of `first`: every
+/// variable keeps its order against the other variables, against 1 and
+/// against the chain's constants, but the values strictly between two
+/// of those anchors are redrawn within their gap (up to twice the
+/// largest of them above the last anchor).
+fn same_region_binding(
+    chain: &gmc_expr::SymChain,
+    first: &gmc_expr::DimBindings,
+    rng: &mut StdRng,
+) -> gmc_expr::DimBindings {
+    use rand::Rng;
+    use std::collections::BTreeSet;
+    let anchors: BTreeSet<usize> = chain
+        .dims()
+        .iter()
+        .filter_map(gmc_expr::Dim::as_const)
+        .chain([1])
+        .collect();
+    let vars = chain.vars();
+    let old: BTreeSet<usize> = vars
+        .iter()
+        .map(|&v| first.get(v).expect("bound"))
+        .filter(|v| !anchors.contains(v))
+        .collect();
+    // Old value → new value, gap by gap.
+    let mut moved: Vec<(usize, usize)> = Vec::new();
+    let mut rest: Vec<usize> = old.into_iter().collect();
+    while let Some(&v) = rest.first() {
+        let below = anchors.range(..v).next_back().copied().unwrap_or(0);
+        let above = anchors.range(v..).next().copied();
+        let gap: Vec<usize> = rest
+            .iter()
+            .copied()
+            .take_while(|&x| above.is_none_or(|a| x < a))
+            .collect();
+        rest.drain(..gap.len());
+        let top = gap.last().copied().expect("non-empty gap");
+        let hi = above.map_or(top.saturating_mul(2), |a| a - 1);
+        // `gap` itself lies in `below + 1 ..= hi`, so this terminates.
+        let mut drawn: BTreeSet<usize> = BTreeSet::new();
+        while drawn.len() < gap.len() {
+            drawn.insert(rng.gen_range(below + 1..=hi));
+        }
+        moved.extend(gap.into_iter().zip(drawn));
+    }
+    let mut b = gmc_expr::DimBindings::new();
+    for v in vars {
+        let old = first.get(v).expect("bound");
+        let new = moved.iter().find(|(o, _)| *o == old).map_or(old, |m| m.1);
+        b.set_var(v, new);
+    }
+    b
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// A region's plan depends only on the structure, the inference
+    /// mode and the region, never on the binding that opened it: two
+    /// different bindings drawn inside one region record the same plan
+    /// store, in both inference modes.
+    #[test]
+    fn region_plans_do_not_depend_on_the_recording_binding(seed in 0u64..1_000_000) {
+        use gmc::InferenceMode;
+        use gmc_plan::{region_signature, PlanCache};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x317_4E55);
+        let chain = random_symbolic_chain(&mut rng);
+        let first = log_uniform_binding(&chain, 12.0, &mut rng);
+        let second = same_region_binding(&chain, &first, &mut rng);
+        prop_assert_eq!(
+            region_signature(&chain.bind_dims(&first).expect("bound")),
+            region_signature(&chain.bind_dims(&second).expect("bound"))
+        );
+        let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+            let stores: Vec<String> = [&first, &second]
+                .into_iter()
+                .map(|b| {
+                    let cache = PlanCache::new(registry.clone(), mode);
+                    let _ = cache.solve(&chain, b);
+                    cache.snapshot_json()
+                })
+                .collect();
+            prop_assert!(
+                stores[0] == stores[1],
+                "{:?}: {} recorded different plans at {:?} and {:?}",
+                mode, &chain, first, second
+            );
+        }
+    }
+
+    /// Plan cache against a cold concrete solve at sizes up to 2^33,
+    /// drawn log-uniformly, in both inference modes: every miss and
+    /// every hit (at a second binding of the recorded region) is
+    /// bit-identical in cost, parenthesization and kernel sequence.
+    #[test]
+    fn plan_cache_matches_concrete_solve_at_large_sizes(seed in 0u64..1_000_000) {
+        use gmc::InferenceMode;
+        use gmc_plan::{PlanCache, PlanOutcome};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x2_0000_0033);
+        let chain = random_symbolic_chain(&mut rng);
+        let misses: Vec<gmc_expr::DimBindings> =
+            (0..2).map(|_| log_uniform_binding(&chain, 33.0, &mut rng)).collect();
+        let hits: Vec<gmc_expr::DimBindings> = misses
+            .iter()
+            .map(|b| same_region_binding(&chain, b, &mut rng))
+            .collect();
+        let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+            let optimizer = GmcOptimizer::new(&registry, FlopCount).with_inference(mode);
+            let cache = PlanCache::new(registry.clone(), mode);
+            for (pass, bindings) in [&misses, &hits].into_iter().enumerate() {
+                for b in bindings {
+                    let concrete = chain.bind(b).expect("all variables bound");
+                    match (optimizer.solve(&concrete), cache.solve(&chain, b)) {
+                        (Ok(want), Ok((got, outcome))) => {
+                            prop_assert_eq!(
+                                want.cost().to_bits(), got.cost().to_bits(),
+                                "cost diverged ({:?}, {}) on {}", mode, outcome, &concrete
+                            );
+                            prop_assert_eq!(want.parenthesization(), got.parenthesization());
+                            prop_assert_eq!(want.kernel_names(), got.kernel_names());
+                            prop_assert_eq!(want.flops().to_bits(), got.flops().to_bits());
+                            if pass == 1 {
+                                prop_assert_eq!(outcome, PlanOutcome::Hit);
+                            }
+                        }
+                        (Err(_), Err(_)) => {}
+                        (want, got) => prop_assert!(
+                            false,
+                            "solvability diverged ({:?}) on {}: {:?} vs {:?}",
+                            mode, &concrete, want.map(|s| s.cost()), got.map(|(s, o)| (s.cost(), o))
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// The region recorder infers compositional property sets through a
+    /// `ProductMemo`. On every split of a random chain, with every
+    /// temporary a child cell can hold (the property sets its splits
+    /// infer, under either inference mode), the memo answers what
+    /// direct inference answers.
+    #[test]
+    fn product_memo_matches_direct_inference_on_every_split(seed in 0u64..1_000_000) {
+        use gmc::InferenceMode;
+        use gmc_analysis::ProductMemo;
+        use gmc_expr::{PropertySet, Shape};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x3E30);
+        let sym = random_symbolic_chain(&mut rng);
+        let chain = sym
+            .bind(&log_uniform_binding(&sym, 7.0, &mut rng))
+            .expect("all variables bound");
+        let n = chain.len();
+        let mut memo = ProductMemo::default();
+        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+            // cells[i][j]: the expressions cell (i, j) can hold.
+            let mut cells: Vec<Vec<Vec<Expr>>> = vec![vec![Vec::new(); n]; n];
+            for (i, row) in cells.iter_mut().enumerate() {
+                row[i] = vec![chain.factor(i).expr()];
+            }
+            for l in 1..n {
+                for i in 0..n - l {
+                    let j = i + l;
+                    let mut variants: Vec<PropertySet> = Vec::new();
+                    for k in i..j {
+                        for le in &cells[i][k] {
+                            for re in &cells[k + 1][j] {
+                                let direct =
+                                    infer_properties(&Expr::times([le.clone(), re.clone()]));
+                                prop_assert_eq!(
+                                    memo.infer(le, re), direct,
+                                    "{} · {} in {}", le, re, &chain
+                                );
+                                let props = match mode {
+                                    InferenceMode::Compositional => direct,
+                                    InferenceMode::Deep => infer_properties(&Expr::times(
+                                        (i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>(),
+                                    )),
+                                };
+                                if !variants.contains(&props) {
+                                    variants.push(props);
+                                }
+                            }
+                        }
+                    }
+                    let shape = Shape::new(
+                        chain.factor(i).shape().rows(),
+                        chain.factor(j).shape().cols(),
+                    );
+                    cells[i][j] = variants
+                        .into_iter()
+                        .map(|p| Operand::temporary(format!("T{i}_{j}"), shape, p).expr())
+                        .collect();
+                }
+            }
+        }
+    }
+}
