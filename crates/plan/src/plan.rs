@@ -191,11 +191,12 @@ pub(crate) enum CellPlan {
     /// No split of this sub-chain is kernel-computable (invariant
     /// within the region).
     Unsolvable,
-    /// The winning split and kernel are binding-independent.
-    Resolved {
-        cand: Box<Candidate>,
-        props: PropertySet,
-    },
+    /// The winning split and kernel are binding-independent. The
+    /// candidate is held inline rather than boxed: one small allocation
+    /// per resolved cell left a dropped cache's memory in thousands of
+    /// unmerged chunks, which the next thread to allocate from the same
+    /// arena had to sort through first.
+    Resolved { cand: Candidate, props: PropertySet },
     /// Candidates are re-ranked numerically at bind time; the
     /// temporary's properties come from the recorded per-split results.
     Deferred {
@@ -391,7 +392,7 @@ impl Solved {
         self.materialize(registry, region, chain, i, k);
         self.materialize(registry, region, chain, k + 1, j);
         let (cand, props) = match &region.cells[idx] {
-            CellPlan::Resolved { cand, props } => (&**cand, *props),
+            CellPlan::Resolved { cand, props } => (cand, *props),
             CellPlan::Deferred { cands, props } => {
                 let cand = &cands[self.winner[idx]];
                 (cand, props.for_split(cand.k))
@@ -899,7 +900,7 @@ pub(crate) fn record_region(
             if resolved {
                 let winner = found.swap_remove(w);
                 plan_cells[idx] = CellPlan::Resolved {
-                    cand: Box::new(winner.cand),
+                    cand: winner.cand,
                     props,
                 };
                 rs.found = found;

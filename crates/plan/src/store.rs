@@ -304,7 +304,7 @@ fn cell_from(v: &Value, vars: &[DimVar]) -> Result<CellPlan, DeError> {
         "unsolvable" => CellPlan::Unsolvable,
         "dynamic" => CellPlan::Dynamic,
         "resolved" => CellPlan::Resolved {
-            cand: Box::new(candidate_from(v.get_field("cand")?, vars)?),
+            cand: candidate_from(v.get_field("cand")?, vars)?,
             props: props_from(v.get_field("props")?)?,
         },
         "deferred" => {

@@ -15,10 +15,10 @@
 //!                        │ batches
 //!          ┌─────────────┼─────────────┐
 //!          ▼             ▼             ▼
-//!      ┌───────┐     ┌───────┐     ┌───────┐    shared, sharded,
-//!      │worker0│     │worker1│  …  │workerN│ ─► copy-on-write
-//!      └───────┘     └───────┘     └───────┘    PlanCache (hits are
-//!          │             │             │        lock-free reads)
+//!      ┌───────┐     ┌───────┐     ┌───────┐    shared, sharded
+//!      │worker0│     │worker1│  …  │workerN│ ─► PlanCache (hits
+//!      └───────┘     └───────┘     └───────┘    only read and never
+//!          │             │             │        wait on a recording)
 //!          └────── replies (cost, parenthesization, kernels) ──►
 //! ```
 //!
