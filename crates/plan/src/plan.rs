@@ -560,8 +560,9 @@ struct Found {
 }
 
 /// Reusable recorder state, held per thread next to the instantiate
-/// workspace and reset by every recording, so a record allocates little
-/// beyond the plan it returns. Nothing in it outlives one recording.
+/// workspace and reset at the start of every recording, so a record
+/// allocates little beyond the plan it returns and no memo carries
+/// over from one recording to the next.
 #[derive(Debug, Default)]
 pub(crate) struct RecordScratch {
     /// Compositional property inference, once per kind of product.
@@ -617,10 +618,13 @@ impl RecordScratch {
             let s = f.operand().shape();
             (slot(s.rows()), slot(s.cols()))
         }));
+        // Monomial keys pack a rank into 14 bits (see `dominance`).
+        assert!(vars.len() < 1 << 14, "too many dimension variables");
         self.rank.clear();
-        self.rank.extend(vars.iter().map(|v| {
-            u16::try_from(vars.iter().filter(|&w| w < v).count()).expect("few variables")
-        }));
+        self.rank.extend(
+            vars.iter()
+                .map(|v| vars.iter().filter(|&w| w < v).count() as u16),
+        );
         self.unstable.clear();
         self.unstable.resize(len, false);
         self.kernel_idx.clear();
@@ -938,6 +942,7 @@ pub(crate) fn record_region(
         }
     }
 
+    rs.found.clear();
     if solved.cost[cell_index(n, 0, n - 1)].is_some() {
         name_kernels(solved, registry, &rs.kernel_idx, 0, n - 1);
     }
