@@ -397,6 +397,16 @@ mod tests {
             3.0,
         ];
         let mut scratch = DominanceScratch::default();
+        // v² − 2v + 2 = 1 + w² at v = 1 + w: the two contributions to w,
+        // 2·1 from v² and −2 from −2v, cancel.
+        let two_v = [(vec![0], 2.0)];
+        let square_plus_two = [(vec![0, 0], 1.0), (vec![], 2.0)];
+        assert!(reference(&two_v, &square_plus_two, &vars));
+        assert!(strictly_below(
+            &flat(&two_v),
+            &flat(&square_plus_two),
+            &mut scratch
+        ));
         let mut decided = [0usize; 2];
         for _ in 0..4000 {
             let draw = |next: &mut dyn FnMut(u64) -> u64| {
@@ -410,7 +420,16 @@ mod tests {
             };
             let s = draw(&mut next);
             let mut o = s.clone();
-            o.extend(draw(&mut next));
+            // Lower-degree terms of either sign: `o − s` then dominates
+            // only through the shifted expansion's binomial weights.
+            o.extend(draw(&mut next).into_iter().map(|(ranks, c)| {
+                let sign = if ranks.len() < 3 && next(2) == 0 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                (ranks, sign * c)
+            }));
             for (a, b) in [(&s, &o), (&o, &s)] {
                 let want = reference(a, b, &vars);
                 assert_eq!(
@@ -422,5 +441,70 @@ mod tests {
             }
         }
         assert!(decided[0] > 100 && decided[1] > 100, "{decided:?}");
+    }
+
+    #[test]
+    fn op_terms_are_flop_formula_poly() {
+        use crate::plan::lift;
+        use gmc_kernels::Uplo;
+        let vars: Vec<DimVar> = (0..3).map(|i| DimVar::new(&format!("dm_w{i}"))).collect();
+        let rank: Vec<u16> = vec![0, 1, 2];
+        let dims = [
+            SlotDim::Slot(0),
+            SlotDim::Slot(1),
+            SlotDim::Slot(2),
+            SlotDim::Const(7),
+        ];
+        let mut checked = 0;
+        for &a in &dims {
+            for &b in &dims {
+                for &c in &dims {
+                    let mut formulas = vec![
+                        FlopFormula::Gemm { m: a, k: b, n: c },
+                        FlopFormula::Level3 { m: a, n: b },
+                        FlopFormula::Syrk { m: a, k: b },
+                        FlopFormula::Gesv { m: a, n: b },
+                        FlopFormula::Posv { m: a, n: b },
+                        FlopFormula::EntryCount { r: a, c: b },
+                        FlopFormula::TwiceEntryCount { r: a, c: b },
+                        FlopFormula::SquareN { n: a },
+                        FlopFormula::TwiceSquareN { n: a },
+                        FlopFormula::TwiceN { n: a },
+                        FlopFormula::Zero,
+                        FlopFormula::InvPair { m: a },
+                    ];
+                    for kind in [
+                        InvKind::General,
+                        InvKind::Spd,
+                        InvKind::Triangular(Uplo::Lower),
+                        InvKind::Diagonal,
+                    ] {
+                        formulas.push(FlopFormula::Inv { kind, n: a });
+                    }
+                    for f in formulas {
+                        let mut terms = Vec::new();
+                        op_terms(&f, &rank, &mut terms);
+                        let rebuilt = terms.iter().fold(CostPoly::zero(), |acc, &(m, c)| {
+                            let (pairs, len) = unpack(m);
+                            let t =
+                                pairs[..len]
+                                    .iter()
+                                    .fold(CostPoly::constant(c), |t, &(r, e)| {
+                                        (0..e).fold(t, |t, _| {
+                                            t.mul(&CostPoly::from_dim(Dim::Var(
+                                                vars[usize::from(r)],
+                                            )))
+                                        })
+                                    });
+                            acc.add(&t)
+                        });
+                        assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "{f:?}");
+                        assert_eq!(rebuilt, lift(&f, &vars).poly(), "{f:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 64 * 16);
     }
 }

@@ -294,6 +294,9 @@ pub(crate) fn cell_index(n: usize, i: usize, j: usize) -> usize {
 pub(crate) struct PlanWorkspace {
     solved: Solved,
     entries: Vec<Ranked>,
+    /// Compositional property inference, once per kind of product;
+    /// cleared by every recording and instantiation.
+    props: ProductMemo,
     record: RecordScratch,
 }
 
@@ -475,8 +478,11 @@ fn select_two_stage(
     best.map(|(t, i)| (i, t))
 }
 
+/// The property set of cell `(i, j)`'s temporary when built from the
+/// child expressions `le · re`.
 fn infer_cell_props(
     inference: InferenceMode,
+    memo: &mut ProductMemo,
     chain: &Chain,
     le: &Expr,
     re: &Expr,
@@ -484,7 +490,7 @@ fn infer_cell_props(
     j: usize,
 ) -> PropertySet {
     match inference {
-        InferenceMode::Compositional => infer_properties(&Expr::times([le.clone(), re.clone()])),
+        InferenceMode::Compositional => memo.infer(le, re),
         InferenceMode::Deep => {
             let unfolded = Expr::times((i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>());
             infer_properties(&unfolded)
@@ -561,12 +567,9 @@ struct Found {
 
 /// Reusable recorder state, held per thread next to the instantiate
 /// workspace and reset at the start of every recording, so a record
-/// allocates little beyond the plan it returns and no memo carries
-/// over from one recording to the next.
+/// allocates little beyond the plan it returns.
 #[derive(Debug, Default)]
 pub(crate) struct RecordScratch {
-    /// Compositional property inference, once per kind of product.
-    props: ProductMemo,
     /// Each chain position's dimension as a slot or a constant.
     dim_slots: Vec<SlotDim>,
     /// Per factor, the first factor with its operand's name (a chain
@@ -602,7 +605,6 @@ impl RecordScratch {
                     .expect("chain dimensions only reference chain variables"),
             ),
         };
-        self.props.clear();
         self.dim_slots.clear();
         self.dim_slots.extend(sym.dims().into_iter().map(slot));
         let factors = sym.factors();
@@ -715,10 +717,12 @@ pub(crate) fn record_region(
     let PlanWorkspace {
         solved,
         entries,
+        props: memo,
         record: rs,
     } = workspace;
     solved.reset(n);
     solved.seed_leaves(chain);
+    memo.clear();
     rs.reset(sym, vars, len);
     let mut plan_cells: Vec<CellPlan> = vec![CellPlan::Leaf; len];
     for i in 0..n {
@@ -726,20 +730,13 @@ pub(crate) fn record_region(
     }
 
     // The property set of split `k`'s temporary.
-    let split_props =
-        |memo: &mut ProductMemo, solved: &Solved, i: usize, k: usize, j: usize| match inference {
-            InferenceMode::Compositional => memo.infer(
-                solved.expr[cell_index(n, i, k)].as_ref().expect("split"),
-                solved.expr[cell_index(n, k + 1, j)]
-                    .as_ref()
-                    .expect("split"),
-            ),
-            InferenceMode::Deep => {
-                let unfolded =
-                    Expr::times((i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>());
-                infer_properties(&unfolded)
-            }
-        };
+    let split_props = |memo: &mut ProductMemo, solved: &Solved, i: usize, k: usize, j: usize| {
+        let le = solved.expr[cell_index(n, i, k)].as_ref().expect("split");
+        let re = solved.expr[cell_index(n, k + 1, j)]
+            .as_ref()
+            .expect("split");
+        infer_cell_props(inference, memo, chain, le, re, i, j)
+    };
 
     for l in 1..n {
         for i in 0..(n - l) {
@@ -805,7 +802,7 @@ pub(crate) fn record_region(
             let (wi, total) = select_two_stage(entries, |k| solved.base(i, k, j))
                 .expect("non-empty candidate list");
             let wk = found[wi].cand.k;
-            let props = split_props(&mut rs.props, solved, i, wk, j);
+            let props = split_props(memo, solved, i, wk, j);
             let op = found[wi]
                 .op
                 .take()
@@ -925,7 +922,7 @@ pub(crate) fn record_region(
                     splits.dedup();
                     let by_split: Vec<(usize, PropertySet)> = splits
                         .iter()
-                        .map(|&k| (k, split_props(&mut rs.props, solved, i, k, j)))
+                        .map(|&k| (k, split_props(memo, solved, i, k, j)))
                         .collect();
                     if by_split.iter().all(|(_, p)| *p == props) {
                         DeferredProps::Stable(props)
@@ -997,9 +994,13 @@ pub(crate) fn instantiate(
     debug_assert_eq!(region.cells.len(), n * (n + 1) / 2);
     debug_assert_eq!(values.len(), region.vars.len());
     let PlanWorkspace {
-        solved, entries, ..
+        solved,
+        entries,
+        props: memo,
+        ..
     } = workspace;
     solved.reset(n);
+    memo.clear();
     for i in 0..n {
         let idx = solved.idx(i, i);
         solved.cost[idx] = Some(0.0);
@@ -1031,7 +1032,9 @@ pub(crate) fn instantiate(
                     (total, entries[wi].k, entries[wi].cost)
                 }
                 CellPlan::Dynamic => {
-                    match_dynamic(registry, inference, region, chain, scratch, solved, i, j);
+                    match_dynamic(
+                        registry, inference, region, chain, scratch, solved, memo, i, j,
+                    );
                     continue;
                 }
             };
@@ -1059,6 +1062,7 @@ fn match_dynamic(
     chain: &Chain,
     scratch: &mut FlatTermScratch,
     solved: &mut Solved,
+    memo: &mut ProductMemo,
     i: usize,
     j: usize,
 ) {
@@ -1094,7 +1098,7 @@ fn match_dynamic(
     let re = solved.expr[cell_index(n, k + 1, j)]
         .as_ref()
         .expect("winner");
-    let props = infer_cell_props(inference, chain, le, re, i, j);
+    let props = infer_cell_props(inference, memo, chain, le, re, i, j);
     let temp = temporary(i, j, m.op.result_shape(), props);
     solved.cost[idx] = Some(total);
     solved.split[idx] = k;

@@ -704,10 +704,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     /// The region recorder infers compositional property sets through a
-    /// `ProductMemo`. On every split of a random chain, with every
-    /// temporary a child cell can hold (the property sets its splits
-    /// infer, under either inference mode), the memo answers what
-    /// direct inference answers.
+    /// `ProductMemo`. On every split of a random chain and of its
+    /// palindrome `C · Cᵀ` (whose mirrored operands make Gram products,
+    /// where operand identity and shape decide symmetry and
+    /// definiteness), with every temporary a child cell can hold (the
+    /// property sets its splits infer, under either inference mode),
+    /// the memo answers what direct inference answers.
     #[test]
     fn product_memo_matches_direct_inference_on_every_split(seed in 0u64..1_000_000) {
         use gmc::InferenceMode;
@@ -718,9 +720,27 @@ proptest! {
         let chain = sym
             .bind(&log_uniform_binding(&sym, 7.0, &mut rng))
             .expect("all variables bound");
-        let n = chain.len();
-        let mut memo = ProductMemo::default();
-        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+        let mirrored = chain.factors().iter().rev().map(|f| {
+            let op = match f.op() {
+                UnaryOp::None => UnaryOp::Transpose,
+                UnaryOp::Transpose => UnaryOp::None,
+                UnaryOp::Inverse => UnaryOp::InverseTranspose,
+                UnaryOp::InverseTranspose => UnaryOp::Inverse,
+            };
+            Factor::new(f.operand().clone(), op)
+        });
+        let palindrome = Chain::new(chain.factors().iter().cloned().chain(mirrored).collect())
+            .expect("a chain times its transpose is well formed");
+        // One memo across all cases, so products of different chains
+        // meet under one key.
+        thread_local! {
+            static MEMO: std::cell::RefCell<ProductMemo> = Default::default();
+        }
+        for (chain, mode) in [&chain, &palindrome]
+            .into_iter()
+            .flat_map(|c| [(c, InferenceMode::Compositional), (c, InferenceMode::Deep)])
+        {
+            let n = chain.len();
             // cells[i][j]: the expressions cell (i, j) can hold.
             let mut cells: Vec<Vec<Vec<Expr>>> = vec![vec![Vec::new(); n]; n];
             for (i, row) in cells.iter_mut().enumerate() {
@@ -729,21 +749,20 @@ proptest! {
             for l in 1..n {
                 for i in 0..n - l {
                     let j = i + l;
+                    let deep = infer_properties(&Expr::times(
+                        (i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>(),
+                    ));
                     let mut variants: Vec<PropertySet> = Vec::new();
                     for k in i..j {
                         for le in &cells[i][k] {
                             for re in &cells[k + 1][j] {
                                 let direct =
                                     infer_properties(&Expr::times([le.clone(), re.clone()]));
-                                prop_assert_eq!(
-                                    memo.infer(le, re), direct,
-                                    "{} · {} in {}", le, re, &chain
-                                );
+                                let memoized = MEMO.with(|m| m.borrow_mut().infer(le, re));
+                                prop_assert_eq!(memoized, direct, "{} · {} in {}", le, re, &chain);
                                 let props = match mode {
                                     InferenceMode::Compositional => direct,
-                                    InferenceMode::Deep => infer_properties(&Expr::times(
-                                        (i..=j).map(|t| chain.factor(t).expr()).collect::<Vec<_>>(),
-                                    )),
+                                    InferenceMode::Deep => deep,
                                 };
                                 if !variants.contains(&props) {
                                     variants.push(props);
