@@ -349,9 +349,9 @@ const MAX_ENUMERATION_FACTORS: usize = 8;
 
 /// A plan cache: compile a chain *structure* once, serve every request
 /// that differs only in sizes by instantiating the cached symbolic
-/// plan. Safe to share across threads (`&self` everywhere): hits are
-/// pure reads of an immutable snapshot, misses record behind per-shard
-/// write mutexes (see the module docs for the architecture).
+/// plan. Safe to share across threads (`&self` everywhere): hits only
+/// read, misses record behind per-shard write mutexes (see the module
+/// docs for the architecture).
 ///
 /// Keyed by (chain structure ⨯ operand properties ⨯ dimension-variable
 /// pattern) at the outer level and by size *region* (the ordering

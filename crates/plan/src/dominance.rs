@@ -28,12 +28,12 @@
 use crate::plan::SlotDim;
 use gmc_kernels::{FlopFormula, InvKind};
 
-/// A monomial: up to four `(variable, exponent)` pairs, each packed
-/// into 16 bits as `(rank + 1) << 2 | exponent`, most significant pair
-/// first and in variable order. `rank` is the variable's position in
-/// `DimVar` order, so comparing two keys compares the pairs
-/// lexicographically, a shorter key first — `CostPoly`'s monomial
-/// order.
+/// A monomial of degree at most 3: up to three `(variable, exponent)`
+/// pairs, each packed into 16 bits as `(rank + 1) << 2 | exponent`,
+/// most significant pair first and in variable order. `rank` is the
+/// variable's position in `DimVar` order, so comparing two keys
+/// compares the pairs lexicographically, a shorter key first —
+/// `CostPoly`'s monomial order.
 pub(crate) type Mono = u64;
 
 /// A polynomial: terms sorted by [`Mono`], no zero coefficient.
@@ -66,7 +66,7 @@ fn pack(ranks: &mut [u16]) -> Mono {
 fn unpack(m: Mono) -> ([(u16, u8); 3], usize) {
     let mut pairs = [(0u16, 0u8); 3];
     let mut len = 0;
-    for p in 0..4 {
+    for p in 0..3 {
         let pair = (m >> (PAIR_BITS * (3 - p))) & 0xFFFF;
         if pair == 0 {
             break;
@@ -182,36 +182,29 @@ pub(crate) fn op_terms(formula: &FlopFormula<SlotDim>, rank: &[u16], out: &mut V
     }
 }
 
-/// Merges two sorted term lists, combining the coefficients of a
-/// monomial present in both with `both` and passing one present in only
-/// one side through `only_a` / `only_b`; zero results are dropped.
-fn merge(
-    a: &Terms,
-    b: &Terms,
-    mut only_a: impl FnMut(f64) -> f64,
-    mut only_b: impl FnMut(f64) -> f64,
-    mut both: impl FnMut(f64, f64) -> f64,
-    mut emit: impl FnMut(Mono, f64),
-) {
+/// Emits `a + sign · b` term by term (`sign` is ±1, so `sign · b` is
+/// exact and `a + sign · b` is the one rounded operation `CostPoly`
+/// performs per monomial), in monomial order, dropping zero results.
+fn merge(a: &Terms, b: &Terms, sign: f64, mut emit: impl FnMut(Mono, f64)) {
     let (mut x, mut y) = (0, 0);
     loop {
         let (m, c) = match (a.get(x), b.get(y)) {
             (Some(&(ma, ca)), Some(&(mb, cb))) if ma == mb => {
                 x += 1;
                 y += 1;
-                (ma, both(ca, cb))
+                (ma, ca + sign * cb)
             }
             (Some(&(ma, ca)), Some(&(mb, _))) if ma < mb => {
                 x += 1;
-                (ma, only_a(ca))
+                (ma, ca)
             }
             (Some(&(ma, ca)), None) => {
                 x += 1;
-                (ma, only_a(ca))
+                (ma, ca)
             }
             (_, Some(&(mb, cb))) => {
                 y += 1;
-                (mb, only_b(cb))
+                (mb, sign * cb)
             }
             (None, None) => return,
         };
@@ -230,9 +223,9 @@ pub(crate) fn total_into(
     out: &mut Vec<(Mono, f64)>,
 ) {
     lr.clear();
-    merge(l, r, |c| c, |c| c, |a, b| a + b, |m, c| lr.push((m, c)));
+    merge(l, r, 1.0, |m, c| lr.push((m, c)));
     out.clear();
-    merge(lr, op, |c| c, |c| c, |a, b| a + b, |m, c| out.push((m, c)));
+    merge(lr, op, 1.0, |m, c| out.push((m, c)));
 }
 
 /// Scratch buffers of [`strictly_below`].
@@ -250,7 +243,7 @@ pub(crate) struct DominanceScratch {
 pub(crate) fn strictly_below(s: &Terms, o: &Terms, scratch: &mut DominanceScratch) -> bool {
     let DominanceScratch { diff, contrib } = scratch;
     diff.clear();
-    merge(o, s, |c| c, |c| -c, |a, b| a + -b, |m, c| diff.push((m, c)));
+    merge(o, s, -1.0, |m, c| diff.push((m, c)));
     // The constant coefficient receives every term once, in order.
     let mut constant = 0.0;
     for &(_, d) in diff.iter() {
@@ -266,41 +259,30 @@ pub(crate) fn strictly_below(s: &Terms, o: &Terms, scratch: &mut DominanceScratc
     contrib.clear();
     for (pos, &(m, d)) in diff.iter().enumerate() {
         let (pairs, len) = unpack(m);
-        // Every sub-monomial: exponent a ≤ e per variable.
-        let mut choice = [0u8; 3];
-        loop {
-            let mut sub = [0u16; 3];
-            let mut sub_len = 0;
-            let mut b = 1u32;
-            for t in 0..len {
-                let (r, e) = pairs[t];
-                let a = choice[t];
-                b *= match (e, a) {
-                    (2, 1) => 2,
-                    (3, 1) | (3, 2) => 3,
-                    _ => 1,
-                };
-                for _ in 0..a {
-                    sub[sub_len] = r;
-                    sub_len += 1;
+        let e = |t: usize| if t < len { pairs[t].1 } else { 0 };
+        // Every sub-monomial, `a ≤ e` per variable, with its weight
+        // `B = Π C(e, a)`.
+        for a0 in 0..=e(0) {
+            for a1 in 0..=e(1) {
+                for a2 in 0..=e(2) {
+                    let mut sub = [0u16; 3];
+                    let mut sub_len = 0;
+                    let mut b = 1.0;
+                    for (t, a) in [a0, a1, a2].into_iter().enumerate() {
+                        b *= match (e(t), a) {
+                            (2, 1) => 2.0,
+                            (3, 1) | (3, 2) => 3.0,
+                            _ => 1.0,
+                        };
+                        for _ in 0..a {
+                            sub[sub_len] = pairs[t].0;
+                            sub_len += 1;
+                        }
+                    }
+                    if sub_len > 0 {
+                        contrib.push((pack(&mut sub[..sub_len]), pos as u32, d * b));
+                    }
                 }
-            }
-            if sub_len > 0 {
-                let key = pack(&mut sub[..sub_len]);
-                contrib.push((key, pos as u32, d * f64::from(b)));
-            }
-            // Advance the mixed-radix counter.
-            let mut t = 0;
-            while t < len {
-                choice[t] += 1;
-                if choice[t] <= pairs[t].1 {
-                    break;
-                }
-                choice[t] = 0;
-                t += 1;
-            }
-            if t == len {
-                break;
             }
         }
     }

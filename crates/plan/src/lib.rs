@@ -14,10 +14,10 @@
 //! * [`PlanCache`] — keyed by (chain structure, operand properties,
 //!   dimension-variable pattern) and, per structure, by size *region*
 //!   (the ordering pattern of the bound dimensions). The cache is
-//!   concurrent: structures are sharded by key hash, shard snapshots
-//!   are immutable and `Arc`-swapped copy-on-write, so cache hits are
-//!   pure reads that any number of threads take simultaneously while
-//!   misses record behind per-shard write mutexes (see
+//!   concurrent: structures are sharded by key hash and each keeps its
+//!   regions in a map of its own, so cache hits are reads that any
+//!   number of threads take simultaneously, never waiting on a
+//!   recording, while misses record behind per-shard write mutexes (see
 //!   [`PlanCache`]'s docs). Plans persist: [`PlanCache::save`] /
 //!   [`PlanCache::load`] snapshot the recorded plans to JSON so a
 //!   serving fleet warm-starts with every stored region a hit, and

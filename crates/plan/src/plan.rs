@@ -585,14 +585,8 @@ pub(crate) struct RecordScratch {
     kernel_idx: Vec<usize>,
     total_at: Vec<Option<Range<usize>>>,
     totals: Vec<(Mono, f64)>,
-    /// The current cell's candidates and their polynomials.
-    found: Vec<Found>,
-    keep: Vec<bool>,
+    /// The current cell's operation-cost polynomials.
     op_terms: Vec<(Mono, f64)>,
-    winner_total: Vec<(Mono, f64)>,
-    rival_total: Vec<(Mono, f64)>,
-    partial: Vec<(Mono, f64)>,
-    dominance: DominanceScratch,
 }
 
 impl RecordScratch {
@@ -728,6 +722,11 @@ pub(crate) fn record_region(
     for i in 0..n {
         rs.total_at[cell_index(n, i, i)] = Some(0..0);
     }
+    // Per-cell buffers.
+    let mut found: Vec<Found> = Vec::new();
+    let mut keep: Vec<bool> = Vec::new();
+    let (mut wt, mut ct, mut partial) = (Vec::new(), Vec::new(), Vec::new());
+    let mut dominance = DominanceScratch::default();
 
     // The property set of split `k`'s temporary.
     let split_props = |memo: &mut ProductMemo, solved: &Solved, i: usize, k: usize, j: usize| {
@@ -747,7 +746,6 @@ pub(crate) fn record_region(
                 .any(|k| rs.unstable[cell_index(n, i, k)] || rs.unstable[cell_index(n, k + 1, j)]);
 
             // Enumerate every candidate of every computable split.
-            let mut found = std::mem::take(&mut rs.found);
             found.clear();
             for k in i..j {
                 let (li, ri) = (cell_index(n, i, k), cell_index(n, k + 1, j));
@@ -787,7 +785,6 @@ pub(crate) fn record_region(
                     CellPlan::Unsolvable
                 };
                 rs.unstable[idx] = dynamic;
-                rs.found = found;
                 continue;
             }
 
@@ -818,7 +815,6 @@ pub(crate) fn record_region(
             if dynamic {
                 plan_cells[idx] = CellPlan::Dynamic;
                 rs.unstable[idx] = true;
-                rs.found = found;
                 continue;
             }
 
@@ -831,7 +827,6 @@ pub(crate) fn record_region(
 
             // Prune same-split candidates that a sibling beats at every
             // binding — they can never be the within-split winner.
-            let keep = &mut rs.keep;
             keep.clear();
             keep.resize(found.len(), true);
             for b in 0..found.len() {
@@ -839,7 +834,7 @@ pub(crate) fn record_region(
                     if a == b || !keep[a] || found[a].cand.k != found[b].cand.k {
                         continue;
                     }
-                    if beats_within_split(&found[a], &found[b], &rs.op_terms, &mut rs.dominance) {
+                    if beats_within_split(&found[a], &found[b], &rs.op_terms, &mut dominance) {
                         keep[b] = false;
                         break;
                     }
@@ -875,40 +870,28 @@ pub(crate) fn record_region(
                     _ => false,
                 }
             };
-            let (mut wt, mut ct, mut partial, mut dom) = (
-                std::mem::take(&mut rs.winner_total),
-                std::mem::take(&mut rs.rival_total),
-                std::mem::take(&mut rs.partial),
-                std::mem::take(&mut rs.dominance),
-            );
             let resolved = total_into_buf(rs, &found[w], &mut wt, &mut partial)
                 && (0..found.len()).all(|c| {
                     if c == w {
                         true
                     } else if found[c].cand.k == wk {
-                        beats_within_split(&found[w], &found[c], &rs.op_terms, &mut dom)
+                        beats_within_split(&found[w], &found[c], &rs.op_terms, &mut dominance)
                     } else {
                         total_into_buf(rs, &found[c], &mut ct, &mut partial)
-                            && strictly_below(&wt, &ct, &mut dom)
+                            && strictly_below(&wt, &ct, &mut dominance)
                     }
                 });
             if resolved {
                 let start = rs.totals.len();
                 rs.totals.extend_from_slice(&wt);
                 rs.total_at[idx] = Some(start..rs.totals.len());
-            }
-            (rs.winner_total, rs.rival_total, rs.partial, rs.dominance) = (wt, ct, partial, dom);
-            if resolved {
-                let winner = found.swap_remove(w);
                 plan_cells[idx] = CellPlan::Resolved {
-                    cand: winner.cand,
+                    cand: found.swap_remove(w).cand,
                     props,
                 };
-                rs.found = found;
                 continue;
             }
             let cands: Vec<Candidate> = found.drain(..).map(|f| f.cand).collect();
-            rs.found = found;
 
             // Deferred: record the winner-only property inference per
             // candidate split. A deferred cell has no unstable
@@ -939,7 +922,6 @@ pub(crate) fn record_region(
         }
     }
 
-    rs.found.clear();
     if solved.cost[cell_index(n, 0, n - 1)].is_some() {
         name_kernels(solved, registry, &rs.kernel_idx, 0, n - 1);
     }
