@@ -31,20 +31,15 @@ struct ProductKey {
 }
 
 fn side(e: &Expr) -> Option<(Side, &Operand)> {
-    let (unary, op) = match e {
-        Expr::Symbol(op) => (0, op),
-        Expr::Transpose(inner) | Expr::Inverse(inner) | Expr::InverseTranspose(inner) => {
-            let Expr::Symbol(op) = &**inner else {
-                return None;
-            };
-            let unary = match e {
-                Expr::Transpose(_) => 1,
-                Expr::Inverse(_) => 2,
-                _ => 3,
-            };
-            (unary, op)
-        }
+    let (unary, inner) = match e {
+        Expr::Symbol(_) => (0, e),
+        Expr::Transpose(inner) => (1, &**inner),
+        Expr::Inverse(inner) => (2, &**inner),
+        Expr::InverseTranspose(inner) => (3, &**inner),
         Expr::Times(_) | Expr::Plus(_) => return None,
+    };
+    let Expr::Symbol(op) = inner else {
+        return None;
     };
     let aspect = e.shape().ok().map(|s| s.rows().cmp(&s.cols()));
     Some((
