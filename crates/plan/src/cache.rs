@@ -235,8 +235,8 @@ impl SymbolicPlan {
         read_lock(&self.regions).get(sig).cloned()
     }
 
-    /// Every recorded region, sorted by signature.
-    pub(crate) fn sorted_regions(&self) -> Vec<(Vec<i8>, Arc<RegionPlan>)> {
+    /// Every recorded region with its signature, sorted by signature.
+    pub fn sorted_regions(&self) -> Vec<(Vec<i8>, Arc<RegionPlan>)> {
         let mut regions: Vec<(Vec<i8>, Arc<RegionPlan>)> = read_lock(&self.regions)
             .iter()
             .map(|(sig, r)| (sig.clone(), Arc::clone(r)))

@@ -1,12 +1,14 @@
 //! Characterization of the region recorder: a fixed, seeded set of
-//! regions is recorded for each case and the plan-store snapshot of the
-//! resulting cache is pinned by a digest. Any change to a recorded plan
-//! — a candidate list, a lowered formula, a cell classification, a
-//! deferred cell's per-split properties — changes the digest, so a
-//! speed change to the recorder must leave every digest as it is.
+//! regions is recorded for each case and the recorded plans are pinned
+//! by a digest. Any change to a recorded plan — a candidate list, a
+//! lowered formula, a cell classification, a deferred cell's per-split
+//! properties — changes the digest, so a speed change to the recorder
+//! must leave every digest as it is.
 //!
-//! The digest is 64-bit FNV-1a over the bytes of
-//! [`PlanCache::snapshot_json`].
+//! Each case pins two 64-bit FNV-1a digests: one over the bytes of
+//! [`PlanCache::snapshot_json`], and one over the `Debug` rendering of
+//! every recorded [`RegionPlan`](gmc_plan::RegionPlan), chain by chain
+//! in signature order.
 
 use gmc::InferenceMode;
 use gmc_expr::{Dim, DimBindings, Property, SymChain, SymFactor, SymOperand, UnaryOp};
@@ -16,8 +18,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the FNV-1a digest `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -228,8 +232,9 @@ fn binding(chain: &SymChain, rng: &mut StdRng) -> DimBindings {
 }
 
 /// Records `draws` bindings of every chain (solve errors included: an
-/// unsolvable region is recorded too) and digests the snapshot.
-fn digest(mode: InferenceMode, chains: &[SymChain], draws: usize, seed: u64) -> u64 {
+/// unsolvable region is recorded too) and digests the snapshot and the
+/// recorded plans.
+fn digest(mode: InferenceMode, chains: &[SymChain], draws: usize, seed: u64) -> (u64, u64) {
     let registry = Arc::new(KernelRegistry::blas_lapack());
     let cache = PlanCache::new(registry, mode);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -238,26 +243,39 @@ fn digest(mode: InferenceMode, chains: &[SymChain], draws: usize, seed: u64) -> 
             let _ = cache.solve(chain, &binding(chain, &mut rng));
         }
     }
-    fnv1a(cache.snapshot_json().as_bytes())
+    let mut plans = FNV_OFFSET;
+    for chain in chains {
+        let plan = cache.plan_for(chain).expect("every chain was recorded");
+        for (_, region) in plan.sorted_regions() {
+            plans = fnv1a(plans, format!("{region:?}").as_bytes());
+        }
+    }
+    (fnv1a(FNV_OFFSET, cache.snapshot_json().as_bytes()), plans)
 }
 
-fn check(case: &str, got: u64, want: u64) {
+fn check(case: &str, got: (u64, u64), want: (u64, u64)) {
     assert_eq!(
-        got, want,
-        "{case}: recorded plans changed (digest {got:#018x}, pinned {want:#018x})"
+        got.0, want.0,
+        "{case}: store bytes changed (digest {:#018x}, pinned {:#018x})",
+        got.0, want.0
+    );
+    assert_eq!(
+        got.1, want.1,
+        "{case}: recorded plans changed (digest {:#018x}, pinned {:#018x})",
+        got.1, want.1
     );
 }
 
 #[test]
 fn growth_nine_factor_dense_chain() {
     let got = digest(InferenceMode::Compositional, &[dense_chain(9)], 40, 9);
-    check("G9", got, 0x409892afc5c5a1e9);
+    check("G9", got, (0x409892afc5c5a1e9, 0x6c7a895ff2865f9b));
 }
 
 #[test]
 fn growth_ten_factor_dense_chain() {
     let got = digest(InferenceMode::Compositional, &[dense_chain(10)], 40, 10);
-    check("G10", got, 0xe78d1a14df111fa3);
+    check("G10", got, (0xe78d1a14df111fa3, 0x4cc1066bc8e901ac));
 }
 
 #[test]
@@ -268,13 +286,13 @@ fn growth_alternating_transposes() {
         40,
         11,
     );
-    check("G10T", got, 0x8702aa8c1b21c7ab);
+    check("G10T", got, (0x8702aa8c1b21c7ab, 0xa37c6297eda4b1b5));
 }
 
 #[test]
 fn sixteen_factor_dense_chain() {
     let got = digest(InferenceMode::Compositional, &[dense_chain(16)], 3, 16);
-    check("dense16", got, 0xe4de071ac15ed5e8);
+    check("dense16", got, (0xe4de071ac15ed5e8, 0x45a8db9d4d519dd5));
 }
 
 fn seeded_chains(seed: u64) -> Vec<SymChain> {
@@ -288,11 +306,15 @@ fn seeded_chains(seed: u64) -> Vec<SymChain> {
 #[test]
 fn seeded_chains_compositional() {
     let got = digest(InferenceMode::Compositional, &seeded_chains(0xC4A2), 6, 1);
-    check("seeded/compositional", got, 0x13275372e35f77e8);
+    check(
+        "seeded/compositional",
+        got,
+        (0x13275372e35f77e8, 0x52fbaaa86c2dc7d4),
+    );
 }
 
 #[test]
 fn seeded_chains_deep() {
     let got = digest(InferenceMode::Deep, &seeded_chains(0xC4A2), 6, 2);
-    check("seeded/deep", got, 0x44beb71f184de0dd);
+    check("seeded/deep", got, (0x44beb71f184de0dd, 0x43fd882310f053ad));
 }
