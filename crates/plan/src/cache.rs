@@ -132,7 +132,7 @@ pub struct ShardStats {
     /// Misses that lost the recording race and were served as hits
     /// after waiting on the shard's write mutex.
     pub coalesced_waiters: u64,
-    /// Region publications (cache writes): one per recorded or adopted
+    /// Region publications (cache writes): one per recorded or loaded
     /// region.
     pub snapshot_swaps: u64,
 }
@@ -159,7 +159,7 @@ pub enum PlanError {
     Solve(GmcError),
     /// The chain is too large for exhaustive region pre-enumeration.
     Enumeration(String),
-    /// A plan-store snapshot failed to save, load or validate.
+    /// A plan store failed to save, load or validate.
     Store(String),
 }
 
@@ -503,26 +503,42 @@ impl PlanCache {
         out
     }
 
-    /// Publishes a deserialized region plan (plan-store loading).
-    /// Returns whether the region was actually adopted (`false` if it
-    /// was already present).
-    pub(crate) fn adopt_region(
+    /// Records the region `sig` of `key` at `bindings` under the shard's
+    /// write mutex, unless that region is already cached; returns
+    /// whether it recorded. Bumps no request counter: pre-enumeration
+    /// and plan-store loading record regions no request has asked for.
+    /// Unsolvable regions are recorded too: the cached plan *is* the
+    /// (negative) answer.
+    pub(crate) fn record_unless_present(
         &self,
-        key: StructureKey,
+        key: &PreparedKey,
+        chain: &SymChain,
+        bindings: &DimBindings,
         sig: Vec<i8>,
-        region: Arc<RegionPlan>,
-    ) -> bool {
-        let shard = self.shard_for(&key);
+    ) -> Result<bool, PlanError> {
+        let shard = self.shard_for(&key.key);
         let _guard = mutex_lock(&shard.write);
         if shard
             .snapshot()
-            .get(&key)
+            .get(&key.key)
             .is_some_and(|p| p.region(&sig).is_some())
         {
-            return false;
+            return Ok(false);
         }
-        shard.publish(key, sig, region);
-        true
+        let concrete = chain.bind(bindings)?;
+        let (region, _solution) = with_scratch(|scratch, workspace| {
+            record_region(
+                &self.registry,
+                self.inference,
+                chain,
+                &key.vars,
+                &concrete,
+                scratch,
+                workspace,
+            )
+        });
+        shard.publish(key.key.clone(), sig, Arc::new(region));
+        Ok(true)
     }
 
     /// The classification summary of the region serving `bindings`, if
@@ -763,7 +779,6 @@ impl PlanCache {
                 ))
             })?;
 
-        let shard = self.shard_for(&prepared.key);
         let mut recorded = 0usize;
         let mut seen: BTreeSet<Vec<i8>> = BTreeSet::new();
         // Odometer over value indices, one digit per variable.
@@ -773,33 +788,11 @@ impl PlanCache {
             for (var, &d) in vars.iter().zip(&digits) {
                 bindings.set_var(*var, values[d]);
             }
-            let sizes = chain.bind_dims(&bindings)?;
-            let sig = region_signature(&sizes);
-            if seen.insert(sig.clone()) {
-                let guard = mutex_lock(&shard.write);
-                let known = shard
-                    .snapshot()
-                    .get(&prepared.key)
-                    .is_some_and(|p| p.region(&sig).is_some());
-                if !known {
-                    let concrete = chain.bind(&bindings)?;
-                    // Unsolvable regions are recorded too: the cached
-                    // plan *is* the (negative) answer.
-                    let (region, _solution) = with_scratch(|scratch, workspace| {
-                        record_region(
-                            &self.registry,
-                            self.inference,
-                            chain,
-                            vars,
-                            &concrete,
-                            scratch,
-                            workspace,
-                        )
-                    });
-                    shard.publish(prepared.key.clone(), sig, Arc::new(region));
-                    recorded += 1;
-                }
-                drop(guard);
+            let sig = region_signature(&chain.bind_dims(&bindings)?);
+            if seen.insert(sig.clone())
+                && self.record_unless_present(&prepared, chain, &bindings, sig)?
+            {
+                recorded += 1;
             }
             // Advance the odometer.
             for d in digits.iter_mut() {

@@ -70,8 +70,8 @@ impl PreparedKey {
     }
 }
 
-/// The bitset encoding of a property set — also the persisted form in
-/// the plan store, so key and snapshot can never diverge.
+/// The bitset encoding of a property set, as a structure key (and so a
+/// plan store) holds it.
 pub(crate) fn props_bits(ps: PropertySet) -> u16 {
     ps.iter().fold(0u16, |acc, p| acc | (1 << (p as u16)))
 }

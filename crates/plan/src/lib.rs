@@ -18,9 +18,11 @@
 //!   regions in a map of its own, so cache hits are reads that any
 //!   number of threads take simultaneously, never waiting on a
 //!   recording, while misses record behind per-shard write mutexes (see
-//!   [`PlanCache`]'s docs). Plans persist: [`PlanCache::save`] /
-//!   [`PlanCache::load`] snapshot the recorded plans to JSON so a
-//!   serving fleet warm-starts with every stored region a hit, and
+//!   [`PlanCache`]'s docs). Plans persist: [`PlanCache::save`] writes
+//!   a JSON plan store of one small witness binding per recorded
+//!   region, and [`PlanCache::load`] records every stored region at
+//!   its witness, so a serving fleet warm-starts with every stored
+//!   region a hit and a tampered store cannot change an answer; and
 //!   [`PlanCache::pre_enumerate_regions`] records *every* reachable
 //!   region of a small chain up front.
 //! * Symbolic solving — where FLOP-polynomial comparison is decidable

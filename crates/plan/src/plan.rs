@@ -34,7 +34,7 @@
 //!
 //! # Lowered formulas
 //!
-//! A stored candidate's formula is *lowered*: each dimension is either a
+//! A recorded candidate's formula is *lowered*: each dimension is either a
 //! slot in the region's first-occurrence variable list
 //! ([`RegionPlan::vars`](RegionPlan)) or a constant ([`SlotDim`]). At
 //! bind time the cache passes the request's variable values in that
@@ -67,7 +67,6 @@ use gmc_expr::{Chain, Dim, DimVar, Expr, Operand, PropertySet, Shape, SymChain};
 use gmc_kernels::{FlatTermScratch, FlopFormula, KernelOp, KernelRegistry};
 use gmc_pattern::{Bindings, Var};
 use std::cmp::Ordering;
-use std::convert::Infallible;
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -97,6 +96,7 @@ pub(crate) enum SlotDim {
 /// # Errors
 ///
 /// The first variable the formula references that `vars` lacks.
+#[cfg(test)]
 pub(crate) fn lower(
     formula: &FlopFormula,
     vars: &[DimVar],
@@ -113,9 +113,10 @@ pub(crate) fn lower(
 
 /// The symbolic formula a lowered one was lowered from (`vars` must be
 /// the list it was lowered against).
+#[cfg(test)]
 pub(crate) fn lift(formula: &FlopFormula<SlotDim>, vars: &[DimVar]) -> FlopFormula {
     let lifted = formula.try_map_dims(|dim| {
-        Ok::<_, Infallible>(match dim {
+        Ok::<_, std::convert::Infallible>(match dim {
             SlotDim::Slot(slot) => Dim::Var(vars[slot]),
             SlotDim::Const(c) => Dim::Const(c),
         })

@@ -1,353 +1,67 @@
-//! Plan persistence: serialize recorded plans so a serving fleet can
-//! warm-start from a shared plan store.
+//! Plan persistence: a plan store holds *witnesses*, not plans.
 //!
-//! A snapshot captures, per cached structure, the [`StructureKey`] and
-//! every recorded region plan — cells, candidates and exact FLOP
-//! formulas included — so a loaded cache answers its first request for
-//! any stored region as a **hit**, with no symbolic re-solve.
+//! A region plan depends only on the structure key, the inference mode
+//! and the size region, never on the binding that opened the region.
+//! A store therefore keeps, per cached structure, its [`StructureKey`]
+//! and one small **witness binding** per recorded region. Loading
+//! rebuilds a canonical chain from each key (operand `M<class>` per
+//! operand class, variable `v<i>` per canonical variable index) and
+//! records every witness through the same recorder a cache miss uses,
+//! so a loaded cache answers its first request for any stored region
+//! as a **hit**, and loading costs about as much as recording.
 //!
-//! A candidate's lowered formula is stored with its slots written as
-//! the region's variable names, and lowered again on load. The per-cell
-//! temporary names (always `T<i>_<j>`) are not stored. Snapshots are
-//! deterministic — structures and regions are sorted — so saving a
-//! loaded cache reproduces the stored bytes.
+//! The store never holds a plan, so a tampered store can waste
+//! recording time but cannot change an answer: whatever structure and
+//! binding it names, the plan served for them is the one recorded for
+//! them. Loading parses and validates the whole document before it
+//! records anything, and rejects with [`PlanError::Store`]:
 //!
-//! A snapshot is tied to the kernel registry and inference mode it was
-//! recorded under: candidates reference kernels by registration index,
-//! so loading validates the full registry kernel-name list and the
-//! mode before adopting any plan.
+//! * a key whose canonical chain is not a valid chain, or whose
+//!   recomputed key differs from the stored one (non-canonical
+//!   numbering, property bits that are not implication-closed, a key
+//!   of the other inference mode);
+//! * a witness value that is not a positive integer, or a witness
+//!   whose length is not the key's variable count;
+//! * two witnesses of one structure in the same region;
+//! * more than [`MAX_STORE_REGIONS`] regions in all.
+//!
+//! A witness is the canonical realization of its region's signature:
+//! walking the weak order of the boundary dimensions upwards, a class
+//! equal to 1 or holding a constant takes that value and any other
+//! class takes the previous value plus one. Witness values therefore
+//! stay small and round-trip exactly through JSON numbers, and the
+//! stored bytes depend only on the inference mode, the kernel registry
+//! and the set of (structure, region) pairs — structures and regions
+//! are sorted, so saving a loaded cache reproduces the stored bytes.
+//!
+//! A store also names the inference mode and the registry's kernel list
+//! it was saved under, and loads only into a cache with both.
 
 use crate::cache::{PlanCache, PlanError};
-use crate::key::{FactorSig, KeyDim, StructureKey};
-use crate::plan::{
-    lift, lower, Candidate, CellPlan, DeferredProps, OperandRef, RegionPlan, PATTERN_VARS,
-};
+use crate::key::{region_signature, FactorSig, KeyDim, StructureKey};
 use gmc::InferenceMode;
-use gmc_expr::{Dim, DimVar, Property, PropertySet};
-use gmc_kernels::FlopFormula;
-use gmc_kernels::{InvKind, Uplo};
+use gmc_expr::{Dim, DimBindings, Property, SymChain, SymFactor, SymOperand, UnaryOp};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::HashSet;
 use std::path::Path;
-use std::sync::Arc;
 
-const FORMAT: &str = "gmc-plan-store/v1";
+const FORMAT: &str = "gmc-plan-store/v2";
 
-// ---------------------------------------------------------------------
-// Value helpers for foreign leaf types (orphan rules prevent trait
-// impls on them; the plan types' Serialize/Deserialize impls below call
-// these directly).
-// ---------------------------------------------------------------------
+/// The most regions one store may hold. Loading records every region,
+/// so the cap bounds the recording time a store can ask for.
+const MAX_STORE_REGIONS: usize = 100_000;
 
-fn usize_value(v: usize) -> Value {
-    Value::Number(v as f64)
-}
-
-fn dim_value(d: Dim) -> Value {
-    match d {
-        Dim::Const(v) => usize_value(v),
-        Dim::Var(v) => Value::String(v.name().to_owned()),
-    }
-}
-
-fn dim_from(v: &Value) -> Result<Dim, DeError> {
-    match v {
-        Value::Number(_) => Ok(Dim::Const(usize::from_value(v)?)),
-        Value::String(name) => Ok(Dim::var(name)),
-        other => Err(DeError(format!("expected dimension, got {other:?}"))),
-    }
-}
-
-fn props_value(ps: PropertySet) -> Value {
-    Value::Number(crate::key::props_bits(ps) as f64)
-}
-
-fn props_from(v: &Value) -> Result<PropertySet, DeError> {
-    let bits = u16::from_value(v)?;
-    let mut ps = PropertySet::new();
-    for p in Property::all() {
-        if bits & (1 << (p as u16)) != 0 {
-            ps.insert(p);
-        }
-    }
-    // Recorded sets are implication-closed, so re-inserting the members
-    // must reproduce the bits exactly; anything else is corruption.
-    if crate::key::props_bits(ps) != bits {
-        return Err(DeError(format!(
-            "property bits {bits:#x} are not an implication-closed set"
-        )));
-    }
-    Ok(ps)
-}
-
-fn inv_kind_value(kind: InvKind) -> Value {
-    Value::String(
-        match kind {
-            InvKind::General => "general",
-            InvKind::Spd => "spd",
-            InvKind::Triangular(Uplo::Lower) => "tri_lower",
-            InvKind::Triangular(Uplo::Upper) => "tri_upper",
-            InvKind::Diagonal => "diagonal",
-        }
-        .to_owned(),
-    )
-}
-
-fn inv_kind_from(v: &Value) -> Result<InvKind, DeError> {
-    match String::from_value(v)?.as_str() {
-        "general" => Ok(InvKind::General),
-        "spd" => Ok(InvKind::Spd),
-        "tri_lower" => Ok(InvKind::Triangular(Uplo::Lower)),
-        "tri_upper" => Ok(InvKind::Triangular(Uplo::Upper)),
-        "diagonal" => Ok(InvKind::Diagonal),
-        other => Err(DeError(format!("unknown inverse kind `{other}`"))),
-    }
-}
-
-fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![("t".to_owned(), Value::String(tag.to_owned()))];
-    all.append(&mut fields);
-    Value::Object(all)
-}
-
-fn tag_of(v: &Value) -> Result<String, DeError> {
-    String::from_value(v.get_field("t")?)
-}
-
-fn formula_value(f: &FlopFormula) -> Value {
-    let d = |name: &str, dim: Dim| (name.to_owned(), dim_value(dim));
-    match f {
-        FlopFormula::Gemm { m, k, n } => tagged("gemm", vec![d("m", *m), d("k", *k), d("n", *n)]),
-        FlopFormula::Level3 { m, n } => tagged("level3", vec![d("m", *m), d("n", *n)]),
-        FlopFormula::Syrk { m, k } => tagged("syrk", vec![d("m", *m), d("k", *k)]),
-        FlopFormula::Gesv { m, n } => tagged("gesv", vec![d("m", *m), d("n", *n)]),
-        FlopFormula::Posv { m, n } => tagged("posv", vec![d("m", *m), d("n", *n)]),
-        FlopFormula::EntryCount { r, c } => tagged("entries", vec![d("r", *r), d("c", *c)]),
-        FlopFormula::TwiceEntryCount { r, c } => tagged("entries2", vec![d("r", *r), d("c", *c)]),
-        FlopFormula::SquareN { n } => tagged("square_n", vec![d("n", *n)]),
-        FlopFormula::TwiceSquareN { n } => tagged("square_n2", vec![d("n", *n)]),
-        FlopFormula::TwiceN { n } => tagged("twice_n", vec![d("n", *n)]),
-        FlopFormula::Zero => tagged("zero", vec![]),
-        FlopFormula::Inv { kind, n } => tagged(
-            "inv",
-            vec![("kind".to_owned(), inv_kind_value(*kind)), d("n", *n)],
-        ),
-        FlopFormula::InvPair { m } => tagged("inv_pair", vec![d("m", *m)]),
-    }
-}
-
-fn formula_from(v: &Value) -> Result<FlopFormula, DeError> {
-    let d = |name: &str| dim_from(v.get_field(name)?);
-    Ok(match tag_of(v)?.as_str() {
-        "gemm" => FlopFormula::Gemm {
-            m: d("m")?,
-            k: d("k")?,
-            n: d("n")?,
-        },
-        "level3" => FlopFormula::Level3 {
-            m: d("m")?,
-            n: d("n")?,
-        },
-        "syrk" => FlopFormula::Syrk {
-            m: d("m")?,
-            k: d("k")?,
-        },
-        "gesv" => FlopFormula::Gesv {
-            m: d("m")?,
-            n: d("n")?,
-        },
-        "posv" => FlopFormula::Posv {
-            m: d("m")?,
-            n: d("n")?,
-        },
-        "entries" => FlopFormula::EntryCount {
-            r: d("r")?,
-            c: d("c")?,
-        },
-        "entries2" => FlopFormula::TwiceEntryCount {
-            r: d("r")?,
-            c: d("c")?,
-        },
-        "square_n" => FlopFormula::SquareN { n: d("n")? },
-        "square_n2" => FlopFormula::TwiceSquareN { n: d("n")? },
-        "twice_n" => FlopFormula::TwiceN { n: d("n")? },
-        "zero" => FlopFormula::Zero,
-        "inv" => FlopFormula::Inv {
-            kind: inv_kind_from(v.get_field("kind")?)?,
-            n: d("n")?,
-        },
-        "inv_pair" => FlopFormula::InvPair { m: d("m")? },
-        other => return Err(DeError(format!("unknown formula tag `{other}`"))),
-    })
-}
-
-fn operand_ref_value(r: OperandRef) -> Value {
-    match r {
-        OperandRef::Factor(t) => usize_value(t),
-        OperandRef::Temp(i, j) => Value::Array(vec![usize_value(i), usize_value(j)]),
-    }
-}
-
-fn operand_ref_from(v: &Value) -> Result<OperandRef, DeError> {
-    match v {
-        Value::Number(_) => Ok(OperandRef::Factor(usize::from_value(v)?)),
-        Value::Array(items) if items.len() == 2 => Ok(OperandRef::Temp(
-            usize::from_value(&items[0])?,
-            usize::from_value(&items[1])?,
-        )),
-        other => Err(DeError(format!("expected operand ref, got {other:?}"))),
-    }
-}
-
-fn candidate_value(c: &Candidate, vars: &[DimVar]) -> Value {
-    let var_binds: Vec<Value> = PATTERN_VARS
-        .iter()
-        .zip(c.binds)
-        .filter_map(|(var, r)| {
-            r.map(|r| Value::Array(vec![usize_value(var.index()), operand_ref_value(r)]))
-        })
-        .collect();
-    Value::Object(vec![
-        ("k".to_owned(), usize_value(c.k)),
-        ("kernel".to_owned(), usize_value(c.kernel_idx)),
-        ("spec".to_owned(), Value::Number(c.specificity as f64)),
-        ("formula".to_owned(), formula_value(&lift(&c.formula, vars))),
-        ("binds".to_owned(), Value::Array(var_binds)),
-    ])
-}
-
-fn candidate_from(v: &Value, vars: &[DimVar]) -> Result<Candidate, DeError> {
-    // Lowering fails on a variable outside the region's recorded list,
-    // which would otherwise leave a formula dimension unbound at serve
-    // time.
-    let formula = lower(&formula_from(v.get_field("formula")?)?, vars).map_err(|var| {
-        DeError(format!(
-            "formula references variable `{var}` outside the region's recorded variables"
-        ))
-    })?;
-    let mut binds = [None; 2];
-    match v.get_field("binds")? {
-        Value::Array(items) => {
-            for item in items {
-                let Value::Array(pair) = item else {
-                    return Err(DeError(format!("expected [var, ref] pair, got {item:?}")));
-                };
-                let [idx, r] = pair.as_slice() else {
-                    return Err(DeError(format!("expected [var, ref] pair, got {item:?}")));
-                };
-                let idx = usize::from_value(idx)?;
-                let slot = binds
-                    .get_mut(idx)
-                    .ok_or_else(|| DeError(format!("pattern variable index {idx} out of range")))?;
-                if slot.replace(operand_ref_from(r)?).is_some() {
-                    return Err(DeError(format!("pattern variable {idx} bound twice")));
-                }
-            }
-        }
-        other => return Err(DeError(format!("expected binds array, got {other:?}"))),
-    }
-    Ok(Candidate {
-        k: usize::from_value(v.get_field("k")?)?,
-        kernel_idx: usize::from_value(v.get_field("kernel")?)?,
-        specificity: u8::from_value(v.get_field("spec")?)?,
-        formula,
-        binds,
-    })
-}
-
-fn cell_value(cell: &CellPlan, vars: &[DimVar]) -> Value {
-    match cell {
-        CellPlan::Leaf => tagged("leaf", vec![]),
-        CellPlan::Unsolvable => tagged("unsolvable", vec![]),
-        CellPlan::Dynamic => tagged("dynamic", vec![]),
-        CellPlan::Resolved { cand, props } => tagged(
-            "resolved",
-            vec![
-                ("cand".to_owned(), candidate_value(cand, vars)),
-                ("props".to_owned(), props_value(*props)),
-            ],
-        ),
-        CellPlan::Deferred { cands, props } => {
-            let props_v = match props {
-                DeferredProps::Stable(p) => {
-                    tagged("stable", vec![("p".to_owned(), props_value(*p))])
-                }
-                DeferredProps::PerSplit(by_split) => tagged(
-                    "per_split",
-                    vec![(
-                        "p".to_owned(),
-                        Value::Array(
-                            by_split
-                                .iter()
-                                .map(|(k, p)| Value::Array(vec![usize_value(*k), props_value(*p)]))
-                                .collect(),
-                        ),
-                    )],
-                ),
-            };
-            tagged(
-                "deferred",
-                vec![
-                    (
-                        "cands".to_owned(),
-                        Value::Array(cands.iter().map(|c| candidate_value(c, vars)).collect()),
-                    ),
-                    ("props".to_owned(), props_v),
-                ],
-            )
-        }
-    }
-}
-
-fn cell_from(v: &Value, vars: &[DimVar]) -> Result<CellPlan, DeError> {
-    Ok(match tag_of(v)?.as_str() {
-        "leaf" => CellPlan::Leaf,
-        "unsolvable" => CellPlan::Unsolvable,
-        "dynamic" => CellPlan::Dynamic,
-        "resolved" => CellPlan::Resolved {
-            cand: candidate_from(v.get_field("cand")?, vars)?,
-            props: props_from(v.get_field("props")?)?,
-        },
-        "deferred" => {
-            let cands = match v.get_field("cands")? {
-                Value::Array(items) => items
-                    .iter()
-                    .map(|c| candidate_from(c, vars))
-                    .collect::<Result<Vec<_>, _>>()?,
-                other => return Err(DeError(format!("expected candidates, got {other:?}"))),
-            };
-            let props_v = v.get_field("props")?;
-            let props = match tag_of(props_v)?.as_str() {
-                "stable" => DeferredProps::Stable(props_from(props_v.get_field("p")?)?),
-                "per_split" => {
-                    let by_split = match props_v.get_field("p")? {
-                        Value::Array(items) => items
-                            .iter()
-                            .map(|item| match item {
-                                Value::Array(pair) if pair.len() == 2 => {
-                                    Ok((usize::from_value(&pair[0])?, props_from(&pair[1])?))
-                                }
-                                other => Err(DeError(format!(
-                                    "expected [split, props] pair, got {other:?}"
-                                ))),
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        other => {
-                            return Err(DeError(format!("expected per-split props, got {other:?}")))
-                        }
-                    };
-                    DeferredProps::PerSplit(by_split)
-                }
-                other => return Err(DeError(format!("unknown props tag `{other}`"))),
-            };
-            CellPlan::Deferred { cands, props }
-        }
-        other => return Err(DeError(format!("unknown cell tag `{other}`"))),
-    })
-}
+/// The unary operators by their code in a [`FactorSig`].
+const UNARY_OPS: [UnaryOp; 4] = [
+    UnaryOp::None,
+    UnaryOp::Transpose,
+    UnaryOp::Inverse,
+    UnaryOp::InverseTranspose,
+];
 
 fn key_dim_value(d: KeyDim) -> Value {
     match d {
-        KeyDim::Const(v) => usize_value(v),
+        KeyDim::Const(v) => Value::Number(v as f64),
         KeyDim::Var(i) => Value::String(format!("${i}")),
     }
 }
@@ -410,164 +124,79 @@ impl Deserialize for StructureKey {
     }
 }
 
-impl Serialize for RegionPlan {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("n".to_owned(), usize_value(self.n)),
-            (
-                "vars".to_owned(),
-                Value::Array(
-                    self.vars
-                        .iter()
-                        .map(|v| Value::String(v.name().to_owned()))
-                        .collect(),
-                ),
-            ),
-            (
-                "cells".to_owned(),
-                Value::Array(
-                    self.cells
-                        .iter()
-                        .map(|c| cell_value(c, &self.vars))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for RegionPlan {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let n = usize::from_value(v.get_field("n")?)?;
-        if n < 2 {
-            return Err(DeError(format!("region plan chain length {n} < 2")));
-        }
-        // The recorded variable list is the slot list every formula is
-        // lowered onto, so it must be duplicate-free (or a request would
-        // silently swap sizes); lowering each formula then checks that
-        // it references only these variables.
-        let vars: Vec<DimVar> = Vec::<String>::from_value(v.get_field("vars")?)?
-            .iter()
-            .map(|name| DimVar::new(name))
-            .collect();
-        let var_set: std::collections::BTreeSet<_> = vars.iter().copied().collect();
-        if var_set.len() != vars.len() {
-            return Err(DeError(
-                "region plan records duplicate variables".to_owned(),
-            ));
-        }
-        let cells = match v.get_field("cells")? {
-            Value::Array(items) => items
-                .iter()
-                .map(|c| cell_from(c, &vars))
-                .collect::<Result<Vec<_>, DeError>>()?,
-            other => return Err(DeError(format!("expected cell array, got {other:?}"))),
-        };
-        if cells.len() != n * (n + 1) / 2 {
-            return Err(DeError(format!(
-                "region plan for n={n} must have {} cells, got {}",
-                n * (n + 1) / 2,
-                cells.len()
-            )));
-        }
-        validate_cells(n, &cells)?;
-        Ok(RegionPlan { n, cells, vars })
-    }
-}
-
-/// Structural validation of deserialized cells, so a corrupt snapshot
-/// is rejected at load time instead of panicking (or indexing out of
-/// bounds) inside a serving worker on its first request.
-fn validate_cells(n: usize, cells: &[CellPlan]) -> Result<(), DeError> {
-    let cell_at = |i: usize, j: usize| &cells[crate::plan::cell_index(n, i, j)];
-    // A candidate of cell (i, j) with split k may reference chain
-    // factors (anywhere — operand aliasing keys refs to the *first*
-    // occurrence) or exactly its two children's temporaries, (i, k)
-    // and (k+1, j); a child temporary only exists for an interior
-    // child the plan actually computes (Resolved or Deferred — a
-    // Dynamic descendant would have made this cell Dynamic too).
-    let check_candidate = |cand: &Candidate, i: usize, j: usize| -> Result<(), DeError> {
-        if cand.k < i || cand.k >= j {
-            return Err(DeError(format!(
-                "cell ({i},{j}): candidate split {} out of range",
-                cand.k
-            )));
-        }
-        // Both children of the split must be computable: a diagonal
-        // leaf, or an interior Resolved/Deferred cell (a Dynamic or
-        // Unsolvable child cannot appear under a non-Dynamic parent in
-        // a genuine recording, and instantiate would panic on one).
-        for (a, b) in [(i, cand.k), (cand.k + 1, j)] {
-            if a < b
-                && !matches!(
-                    cell_at(a, b),
-                    CellPlan::Resolved { .. } | CellPlan::Deferred { .. }
-                )
-            {
-                return Err(DeError(format!(
-                    "cell ({i},{j}) split {}: child ({a},{b}) is not computable",
-                    cand.k
-                )));
-            }
-        }
-        for r in cand.binds.iter().flatten() {
-            let ok = match *r {
-                OperandRef::Factor(t) => t < n,
-                OperandRef::Temp(a, b) => {
-                    a < b
-                        && ((a, b) == (i, cand.k) || (a, b) == (cand.k + 1, j))
-                        && matches!(
-                            cell_at(a, b),
-                            CellPlan::Resolved { .. } | CellPlan::Deferred { .. }
-                        )
-                }
-            };
-            if !ok {
-                return Err(DeError(format!(
-                    "cell ({i},{j}) split {}: operand reference {r:?} is not a factor or a \
-                     computed child temporary",
-                    cand.k
-                )));
-            }
-        }
-        Ok(())
+/// The canonical chain of `key`: operand `M<class>` per operand class
+/// and variable `v<i>` per canonical variable index `i`. Its structure
+/// key is `key` whenever `key` came from a chain.
+fn chain_of(key: &StructureKey) -> Result<SymChain, String> {
+    let dim = |d: KeyDim| match d {
+        KeyDim::Const(c) => Dim::Const(c),
+        KeyDim::Var(i) => Dim::var(&format!("v{i}")),
     };
-    let mut idx = 0;
-    for i in 0..n {
-        for j in i..n {
-            let cell = &cells[idx];
-            idx += 1;
-            match cell {
-                CellPlan::Leaf if i != j => {
-                    return Err(DeError(format!("interior cell ({i},{j}) marked as leaf")))
-                }
-                _ if i == j && !matches!(cell, CellPlan::Leaf) => {
-                    return Err(DeError(format!("diagonal cell ({i},{i}) must be a leaf")))
-                }
-                CellPlan::Resolved { cand, .. } => check_candidate(cand, i, j)?,
-                CellPlan::Deferred { cands, props } => {
-                    if cands.is_empty() {
-                        return Err(DeError(format!("cell ({i},{j}): no deferred candidates")));
-                    }
-                    for cand in cands {
-                        check_candidate(cand, i, j)?;
-                    }
-                    if let DeferredProps::PerSplit(by_split) = props {
-                        for cand in cands {
-                            if !by_split.iter().any(|(k, _)| *k == cand.k) {
-                                return Err(DeError(format!(
-                                    "cell ({i},{j}): split {} has no recorded properties",
-                                    cand.k
-                                )));
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
+    let factors = key
+        .factors
+        .iter()
+        .map(|f| {
+            let unary = *UNARY_OPS
+                .get(usize::from(f.unary))
+                .ok_or_else(|| format!("unknown unary operator code {}", f.unary))?;
+            let props = Property::all().filter(|&p| f.props & (1 << p as u16) != 0);
+            let operand =
+                SymOperand::new(format!("M{}", f.operand_class), dim(f.rows), dim(f.cols))
+                    .with_properties(props)
+                    .map_err(|e| e.to_string())?;
+            Ok(SymFactor::new(operand, unary))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    SymChain::new(factors).map_err(|e| e.to_string())
+}
+
+/// The canonical witness of region `sig` of `chain`: one value per
+/// variable of `chain`, in first-occurrence order (see the module docs).
+fn witness(chain: &SymChain, sig: &[i8]) -> Vec<usize> {
+    let dims = chain.dims();
+    let n = dims.len();
+    // `cmp[p * n + q]` orders dimension p against q; the pairwise part
+    // of a signature follows its `n` comparisons against 1.
+    let mut cmp = vec![0i8; n * n];
+    let mut at = n;
+    for p in 0..n {
+        for q in p + 1..n {
+            cmp[p * n + q] = sig[at];
+            cmp[q * n + p] = -sig[at];
+            at += 1;
         }
     }
-    Ok(())
+    // A dimension's rank is the number of dimensions below it, so equal
+    // dimensions share a rank.
+    let rank: Vec<usize> = (0..n)
+        .map(|p| (0..n).filter(|&q| cmp[q * n + p] < 0).count())
+        .collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&p| rank[p]);
+    let mut value = vec![0; n];
+    let mut prev = 1;
+    for class in order.chunk_by(|&a, &b| rank[a] == rank[b]) {
+        let v = if class.iter().any(|&p| sig[p] == 0) {
+            1
+        } else if let Some(c) = class.iter().find_map(|&p| dims[p].as_const()) {
+            c
+        } else {
+            prev + 1
+        };
+        for &p in class {
+            value[p] = v;
+        }
+        prev = v;
+    }
+    debug_assert_eq!(region_signature(&value), sig, "witness outside its region");
+    chain
+        .vars()
+        .into_iter()
+        .map(|var| {
+            let at = dims.iter().position(|&d| d == Dim::Var(var));
+            value[at.expect("a chain's variables are boundary dimensions")]
+        })
+        .collect()
 }
 
 fn inference_name(mode: InferenceMode) -> &'static str {
@@ -577,30 +206,35 @@ fn inference_name(mode: InferenceMode) -> &'static str {
     }
 }
 
+/// Field `name` of the object `v`, deserialized.
+fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, PlanError> {
+    v.get_field(name)
+        .and_then(T::from_value)
+        .map_err(|e| PlanError::Store(format!("`{name}`: {e}")))
+}
+
 impl PlanCache {
-    /// Serializes every recorded plan to a deterministic JSON snapshot
-    /// (structures sorted by key, regions by signature): the plan
-    /// store a serving fleet warm-starts from.
+    /// Serializes the cache to a deterministic JSON plan store: per
+    /// structure (sorted by key) its key and one witness binding per
+    /// recorded region (sorted by signature). See the module docs.
     pub fn snapshot_json(&self) -> String {
-        let mut structures: Vec<Value> = Vec::new();
         let mut entries = self.structures();
         entries.sort_by_cached_key(|(key, _)| serde_json::to_string(key).expect("key serializes"));
-        for (key, plan) in entries {
-            let regions: Vec<Value> = plan
-                .sorted_regions()
-                .into_iter()
-                .map(|(sig, region)| {
-                    Value::Object(vec![
-                        ("signature".to_owned(), sig.to_value()),
-                        ("plan".to_owned(), region.to_value()),
-                    ])
-                })
-                .collect();
-            structures.push(Value::Object(vec![
-                ("key".to_owned(), key.to_value()),
-                ("regions".to_owned(), Value::Array(regions)),
-            ]));
-        }
+        let structures: Vec<Value> = entries
+            .into_iter()
+            .map(|(key, plan)| {
+                let chain = chain_of(&key).expect("a cached key describes a chain");
+                let witnesses = plan
+                    .sorted_regions()
+                    .iter()
+                    .map(|(sig, _)| witness(&chain, sig).to_value())
+                    .collect();
+                Value::Object(vec![
+                    ("key".to_owned(), key.to_value()),
+                    ("witnesses".to_owned(), Value::Array(witnesses)),
+                ])
+            })
+            .collect();
         let kernels: Vec<Value> = self
             .registry()
             .kernels()
@@ -616,122 +250,107 @@ impl PlanCache {
             ("kernels".to_owned(), Value::Array(kernels)),
             ("structures".to_owned(), Value::Array(structures)),
         ]);
-        serde_json::to_string_pretty(&doc).expect("plan snapshots contain only finite numbers")
+        serde_json::to_string_pretty(&doc).expect("plan stores contain only integers")
     }
 
-    /// Merges a snapshot produced by [`snapshot_json`](Self::snapshot_json)
-    /// into this cache. Returns the number of regions adopted (regions
-    /// already present are kept as they are).
+    /// Loads a plan store produced by [`snapshot_json`](Self::snapshot_json)
+    /// into this cache by recording every stored region at its witness.
+    /// Returns the number of regions recorded; regions already cached
+    /// are skipped. Like pre-enumeration, loading bumps no request
+    /// counter.
     ///
     /// # Errors
     ///
-    /// [`PlanError::Store`] if the snapshot is malformed, was recorded
-    /// under a different inference mode, or under a registry whose
-    /// kernel list (names and order) differs from this cache's —
-    /// candidates reference kernels by registration index, so a
-    /// mismatched registry would silently serve wrong kernels.
+    /// [`PlanError::Store`] if the store is malformed, fails validation
+    /// (see the module docs), or was saved under a different inference
+    /// mode or kernel registry. A failed load records nothing.
     pub fn load_snapshot_json(&self, json: &str) -> Result<usize, PlanError> {
         let doc: Value = serde_json::from_str(json).map_err(|e| PlanError::Store(e.to_string()))?;
-        let store_err = |e: DeError| PlanError::Store(e.to_string());
-        let format =
-            String::from_value(doc.get_field("format").map_err(store_err)?).map_err(store_err)?;
+        let format: String = field(&doc, "format")?;
         if format != FORMAT {
             return Err(PlanError::Store(format!(
-                "unsupported snapshot format `{format}` (expected `{FORMAT}`)"
+                "unsupported format `{format}`; this build reads `{FORMAT}`"
             )));
         }
-        let mode = String::from_value(doc.get_field("inference").map_err(store_err)?)
-            .map_err(store_err)?;
+        let mode: String = field(&doc, "inference")?;
         if mode != inference_name(self.inference()) {
             return Err(PlanError::Store(format!(
-                "snapshot was recorded under {mode} inference, cache uses {}",
+                "store was saved under {mode} inference, cache uses {}",
                 inference_name(self.inference())
             )));
         }
-        let kernels = Vec::<String>::from_value(doc.get_field("kernels").map_err(store_err)?)
-            .map_err(store_err)?;
-        let registry_kernels: Vec<String> = self
+        let kernels: Vec<String> = field(&doc, "kernels")?;
+        if !kernels.iter().map(String::as_str).eq(self
             .registry()
             .kernels()
             .iter()
-            .map(|k| k.name().to_owned())
-            .collect();
-        if kernels != registry_kernels {
+            .map(|k| k.name()))
+        {
             return Err(PlanError::Store(
-                "snapshot kernel registry differs from this cache's registry".to_owned(),
+                "store kernel registry differs from this cache's registry".to_owned(),
             ));
         }
-        let n_kernels = registry_kernels.len();
+        let structures = field::<Vec<Value>>(&doc, "structures")?
+            .iter()
+            .map(|s| Ok((field::<StructureKey>(s, "key")?, field(s, "witnesses")?)))
+            .collect::<Result<Vec<(StructureKey, Vec<Vec<usize>>)>, PlanError>>()?;
+        let total: usize = structures.iter().map(|(_, w)| w.len()).sum();
+        if total > MAX_STORE_REGIONS {
+            return Err(PlanError::Store(format!(
+                "{total} regions exceed the limit of {MAX_STORE_REGIONS}"
+            )));
+        }
 
-        let structures = match doc.get_field("structures").map_err(store_err)? {
-            Value::Array(items) => items,
-            other => {
+        // Validate everything before recording anything.
+        let mut pending = Vec::with_capacity(structures.len());
+        for (key, witnesses) in structures {
+            let chain = chain_of(&key).map_err(PlanError::Store)?;
+            let prepared = self.prepare(&chain);
+            if prepared.key != key {
                 return Err(PlanError::Store(format!(
-                    "expected structures array, got {other:?}"
-                )))
+                    "key of `{chain}` is not its canonical {} key",
+                    inference_name(self.inference())
+                )));
             }
-        };
-        let mut adopted = 0usize;
-        for entry in structures {
-            let key = StructureKey::from_value(entry.get_field("key").map_err(store_err)?)
-                .map_err(store_err)?;
-            let regions = match entry.get_field("regions").map_err(store_err)? {
-                Value::Array(items) => items,
-                other => {
+            let mut seen = HashSet::new();
+            let mut regions = Vec::with_capacity(witnesses.len());
+            for w in witnesses {
+                if w.len() != prepared.vars().len() {
                     return Err(PlanError::Store(format!(
-                        "expected regions array, got {other:?}"
-                    )))
-                }
-            };
-            // Cross-checks against the structure key: the plan must
-            // describe a chain of the key's length, with one variable
-            // per distinct canonical variable slot, or formula slots and
-            // factor references would index past the request chain's
-            // values at serve time.
-            let key_vars: std::collections::BTreeSet<u16> = key
-                .factors
-                .iter()
-                .flat_map(|f| [f.rows, f.cols])
-                .filter_map(|d| match d {
-                    KeyDim::Var(i) => Some(i),
-                    KeyDim::Const(_) => None,
-                })
-                .collect();
-            for region in regions {
-                let sig = Vec::<i8>::from_value(region.get_field("signature").map_err(store_err)?)
-                    .map_err(store_err)?;
-                let plan = RegionPlan::from_value(region.get_field("plan").map_err(store_err)?)
-                    .map_err(store_err)?;
-                if plan.n != key.factors.len() {
-                    return Err(PlanError::Store(format!(
-                        "region plan for {} factors stored under a {}-factor key",
-                        plan.n,
-                        key.factors.len()
+                        "witness {w:?} for `{chain}` needs {} values",
+                        prepared.vars().len()
                     )));
                 }
-                if plan.vars.len() != key_vars.len() {
+                let mut bindings = DimBindings::new();
+                for (&var, &v) in prepared.vars().iter().zip(&w) {
+                    bindings.set_var(var, v);
+                }
+                let concrete = chain
+                    .bind(&bindings)
+                    .map_err(|e| PlanError::Store(format!("witness {w:?} for `{chain}`: {e}")))?;
+                let sig = region_signature(&concrete.sizes());
+                if !seen.insert(sig.clone()) {
                     return Err(PlanError::Store(format!(
-                        "region plan records {} variables, key has {}",
-                        plan.vars.len(),
-                        key_vars.len()
+                        "witness {w:?} for `{chain}` repeats a stored region"
                     )));
                 }
-                if let Some(idx) = plan.max_kernel_index() {
-                    if idx >= n_kernels {
-                        return Err(PlanError::Store(format!(
-                            "candidate references kernel index {idx}, registry has {n_kernels}"
-                        )));
-                    }
-                }
-                if self.adopt_region(key.clone(), sig, Arc::new(plan)) {
-                    adopted += 1;
+                regions.push((sig, bindings));
+            }
+            pending.push((prepared, chain, regions));
+        }
+
+        let mut recorded = 0;
+        for (prepared, chain, regions) in pending {
+            for (sig, bindings) in regions {
+                if self.record_unless_present(&prepared, &chain, &bindings, sig)? {
+                    recorded += 1;
                 }
             }
         }
-        Ok(adopted)
+        Ok(recorded)
     }
 
-    /// Saves the snapshot to `path` (see [`snapshot_json`](Self::snapshot_json)).
+    /// Saves the plan store to `path` (see [`snapshot_json`](Self::snapshot_json)).
     /// The write goes to a sibling temporary file first and is renamed
     /// into place, so a crash mid-save never leaves a truncated store.
     ///
@@ -750,36 +369,17 @@ impl PlanCache {
         })
     }
 
-    /// Loads and merges the snapshot at `path`; returns the number of
-    /// regions adopted.
+    /// Loads the plan store at `path`; returns the number of regions
+    /// recorded.
     ///
     /// # Errors
     ///
-    /// [`PlanError::Store`] on I/O failure or snapshot mismatch (see
+    /// [`PlanError::Store`] on I/O failure or an invalid store (see
     /// [`load_snapshot_json`](Self::load_snapshot_json)).
     pub fn load(&self, path: impl AsRef<Path>) -> Result<usize, PlanError> {
         let path = path.as_ref();
         let json = std::fs::read_to_string(path)
             .map_err(|e| PlanError::Store(format!("cannot read {}: {e}", path.display())))?;
         self.load_snapshot_json(&json)
-    }
-}
-
-impl RegionPlan {
-    /// The largest kernel registration index any candidate references,
-    /// for load-time validation against the registry.
-    fn max_kernel_index(&self) -> Option<usize> {
-        self.cells
-            .iter()
-            .flat_map(|cell| -> Box<dyn Iterator<Item = usize> + '_> {
-                match cell {
-                    CellPlan::Resolved { cand, .. } => Box::new(std::iter::once(cand.kernel_idx)),
-                    CellPlan::Deferred { cands, .. } => {
-                        Box::new(cands.iter().map(|c| c.kernel_idx))
-                    }
-                    _ => Box::new(std::iter::empty()),
-                }
-            })
-            .max()
     }
 }

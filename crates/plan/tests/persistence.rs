@@ -1,6 +1,7 @@
 //! Plan-store persistence: snapshots round-trip byte-for-byte, a
 //! warm-started cache answers its first request as a hit with
-//! bit-identical results, and mismatched snapshots are rejected.
+//! bit-identical results, and mismatched or invalid stores are rejected
+//! without recording anything.
 
 use gmc::{FlopCount, GmcOptimizer, InferenceMode};
 use gmc_expr::{Dim, DimBindings, Property, SymChain, SymFactor, SymOperand, UnaryOp};
@@ -172,37 +173,98 @@ fn reloading_a_snapshot_adopts_nothing_new() {
     assert_eq!(cold.load_snapshot_json(&snapshot).unwrap(), 0);
 }
 
+/// `store` with its (only) structure's witness list replaced by
+/// `witnesses`.
+fn with_witnesses(store: &str, witnesses: &str) -> String {
+    let at = store.find("\"witnesses\": ").expect("a witness list") + "\"witnesses\": ".len();
+    let mut depth = 0;
+    let len = store[at..]
+        .char_indices()
+        .find_map(|(i, c)| {
+            match c {
+                '[' => depth += 1,
+                ']' => depth -= 1,
+                _ => {}
+            }
+            (depth == 0).then_some(i + 1)
+        })
+        .expect("a closed witness list");
+    format!("{}{witnesses}{}", &store[..at], &store[at + len..])
+}
+
 #[test]
-fn corrupt_candidate_indices_are_rejected_at_load() {
+fn invalid_witness_stores_are_rejected_at_load() {
     let registry = Arc::new(KernelRegistry::blas_lapack());
     let warm = PlanCache::new(registry.clone(), InferenceMode::Compositional);
     let (chain, binds) = &sample_workload()[0];
     warm.solve(chain, &binds[0]).unwrap();
-    let snapshot = warm.snapshot_json();
-    assert!(snapshot.contains("\"k\": "), "snapshot records splits");
+    let store = warm.snapshot_json();
+    // ps_n = 10 < ps_k = 30 < ps_m = 200: the witness realizes that
+    // order with the smallest sizes above 1, in first-occurrence order.
+    let valid = with_witnesses(&store, "[[2, 4, 3]]");
+    let loaded = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+    assert_eq!(loaded.load_snapshot_json(&valid).unwrap(), 1);
+    assert_eq!(loaded.snapshot_json(), store);
 
-    // An out-of-range split index must fail load-time validation, not
-    // panic inside a serving worker on the first request.
-    let corrupt = snapshot.replacen("\"k\": 0", "\"k\": 99", 1);
-    assert_ne!(corrupt, snapshot);
-    let fresh = PlanCache::new(registry.clone(), InferenceMode::Compositional);
-    assert!(matches!(
-        fresh.load_snapshot_json(&corrupt),
-        Err(PlanError::Store(_))
-    ));
-    assert!(fresh.is_empty());
-
-    // A variable list that no longer covers the stored formulas (here:
-    // every `ps_m` renamed to `ps_n`, creating a duplicate) must also
-    // be rejected at load time.
-    let corrupt = snapshot.replace("\"ps_m\"", "\"ps_n\"");
-    assert_ne!(corrupt, snapshot);
+    let v1 = store.replace("gmc-plan-store/v2", "gmc-plan-store/v1");
+    let too_many = format!("[{}]", vec!["[2, 4, 3]"; 100_001].join(", "));
+    let cases = [
+        // Each bad witness follows a valid one: a failed load records
+        // neither.
+        (
+            "zero witness value",
+            with_witnesses(&store, "[[2, 4, 3], [0, 4, 3]]"),
+        ),
+        (
+            "negative witness value",
+            with_witnesses(&store, "[[2, 4, 3], [-2, 4, 3]]"),
+        ),
+        (
+            "fractional witness value",
+            with_witnesses(&store, "[[2, 4, 3], [2.5, 4, 3]]"),
+        ),
+        (
+            "short witness",
+            with_witnesses(&store, "[[2, 4, 3], [2, 4]]"),
+        ),
+        (
+            "long witness",
+            with_witnesses(&store, "[[2, 4, 3], [2, 4, 3, 5]]"),
+        ),
+        (
+            "duplicate region",
+            with_witnesses(&store, "[[2, 4, 3], [20, 400, 30]]"),
+        ),
+        ("region cap", with_witnesses(&store, &too_many)),
+        // A key of the other mode, and a non-canonical variable
+        // numbering, each differ from their recomputed key.
+        (
+            "other mode's key",
+            store.replace("\"deep\": false", "\"deep\": true"),
+        ),
+        ("renumbered variable", store.replace("\"$1\"", "\"$5\"")),
+        (
+            "unknown unary code",
+            store.replacen("\"u\": 0", "\"u\": 9", 1),
+        ),
+        ("v1 format", v1.clone()),
+    ];
+    for (case, corrupt) in cases {
+        assert_ne!(corrupt, store, "{case}: the store must change");
+        let fresh = PlanCache::new(registry.clone(), InferenceMode::Compositional);
+        match fresh.load_snapshot_json(&corrupt) {
+            Err(PlanError::Store(_)) => {}
+            other => panic!("{case}: expected a store error, got {other:?}"),
+        }
+        assert!(fresh.is_empty(), "{case}: a failed load records nothing");
+    }
+    // A store in the old format is named as such.
     let fresh = PlanCache::new(registry, InferenceMode::Compositional);
-    assert!(matches!(
-        fresh.load_snapshot_json(&corrupt),
-        Err(PlanError::Store(_))
-    ));
-    assert!(fresh.is_empty());
+    let msg = fresh.load_snapshot_json(&v1).unwrap_err().to_string();
+    assert!(
+        msg.contains("gmc-plan-store/v1") && msg.contains("gmc-plan-store/v2"),
+        "{msg}"
+    );
 }
 
 #[test]
