@@ -703,6 +703,155 @@ proptest! {
     }
 }
 
+/// Serves `chain` at `b` from `cache` and checks the answer against a
+/// cold concrete solve under the cache's registry and inference mode:
+/// the same cost bits, parenthesization and kernel sequence, or an
+/// error from both.
+fn check_against_cold_solve(
+    cache: &gmc_plan::PlanCache,
+    chain: &gmc_expr::SymChain,
+    b: &gmc_expr::DimBindings,
+) {
+    let concrete = chain.bind(b).expect("all variables bound");
+    let optimizer =
+        GmcOptimizer::new(cache.registry(), FlopCount).with_inference(cache.inference());
+    match (optimizer.solve(&concrete), cache.solve(chain, b)) {
+        (Ok(want), Ok((got, outcome))) => {
+            assert_eq!(
+                want.cost().to_bits(),
+                got.cost().to_bits(),
+                "cost diverged ({outcome}) on {concrete}"
+            );
+            assert_eq!(want.parenthesization(), got.parenthesization());
+            assert_eq!(want.kernel_names(), got.kernel_names());
+        }
+        (Err(_), Err(_)) => {}
+        (want, got) => panic!(
+            "solvability diverged on {concrete}: {:?} vs {:?}",
+            want.map(|s| s.cost()),
+            got.map(|(s, o)| (s.cost(), o))
+        ),
+    }
+}
+
+/// `store` with one or two digits changed, or one structure-key field
+/// (an operator code, a dimension, a property set, an operand class or
+/// the mode flag) given another value.
+fn tamper(store: &str, rng: &mut StdRng) -> String {
+    use rand::Rng;
+    if rng.gen_bool(0.5) {
+        let digits: Vec<usize> = store
+            .bytes()
+            .enumerate()
+            .filter_map(|(i, c)| c.is_ascii_digit().then_some(i))
+            .collect();
+        let mut bytes = store.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..=2) {
+            bytes[digits[rng.gen_range(0..digits.len())]] = b'0' + rng.gen_range(0..10u8);
+        }
+        return String::from_utf8(bytes).expect("digits for digits");
+    }
+    let field = [
+        "\"u\": ",
+        "\"r\": ",
+        "\"c\": ",
+        "\"p\": ",
+        "\"o\": ",
+        "\"deep\": ",
+    ][rng.gen_range(0..6usize)];
+    let starts: Vec<usize> = store
+        .match_indices(field)
+        .map(|(i, _)| i + field.len())
+        .collect();
+    let at = starts[rng.gen_range(0..starts.len())];
+    let end = at + store[at..].find([',', '\n']).expect("a field ends");
+    let value = match field {
+        "\"r\": " | "\"c\": " if rng.gen_bool(0.5) => format!("\"${}\"", rng.gen_range(0..4u32)),
+        "\"r\": " | "\"c\": " => [1, 10, 20, 60][rng.gen_range(0..4usize)].to_string(),
+        "\"p\": " => rng.gen_range(0..1024u32).to_string(),
+        "\"deep\": " => rng.gen_bool(0.5).to_string(),
+        _ => rng.gen_range(0..5u32).to_string(),
+    };
+    format!("{}{value}{}", &store[..at], &store[end..])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// A tampered plan store cannot change an answer: in both inference
+    /// modes, every mutant of a few-region store either fails to load
+    /// with `PlanError::Store`, recording nothing, or loads and serves
+    /// every binding that opened a region of the original bit-identically
+    /// to a cold concrete solve. No mutant panics.
+    #[test]
+    fn tampered_plan_stores_never_change_an_answer(seed in 0u64..1_000_000) {
+        use gmc::InferenceMode;
+        use gmc_plan::{PlanCache, PlanError};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A3_9E5);
+        let chains: Vec<gmc_expr::SymChain> =
+            (0..2).map(|_| random_symbolic_chain(&mut rng)).collect();
+        let opened: Vec<(&gmc_expr::SymChain, gmc_expr::DimBindings)> = chains
+            .iter()
+            .flat_map(|c| [(c, log_uniform_binding(c, 12.0, &mut rng)),
+                           (c, log_uniform_binding(c, 12.0, &mut rng))])
+            .collect();
+        let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+            let warm = PlanCache::new(registry.clone(), mode);
+            for (chain, b) in &opened {
+                let _ = warm.solve(chain, b);
+            }
+            let store = warm.snapshot_json();
+            for _ in 0..8 {
+                let mutant = tamper(&store, &mut rng);
+                let loaded = PlanCache::new(registry.clone(), mode);
+                match loaded.load_snapshot_json(&mutant) {
+                    Ok(_) => {
+                        for (chain, b) in &opened {
+                            check_against_cold_solve(&loaded, chain, b);
+                        }
+                    }
+                    Err(PlanError::Store(_)) => {
+                        prop_assert!(loaded.is_empty(), "a failed load recorded regions");
+                    }
+                    Err(e) => prop_assert!(false, "not a store error: {e}"),
+                }
+            }
+        }
+    }
+
+    /// A plan store round-trips at sizes up to 2^33, drawn
+    /// log-uniformly, in both inference modes: loaded into a fresh
+    /// cache, it makes every binding that opened a region a hit,
+    /// bit-identical to a cold concrete solve, and saving the loaded
+    /// cache reproduces the store bytes.
+    #[test]
+    fn plan_store_round_trips_at_large_sizes(seed in 0u64..1_000_000) {
+        use gmc::InferenceMode;
+        use gmc_plan::PlanCache;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5_70BE);
+        let chain = random_symbolic_chain(&mut rng);
+        let opened: Vec<gmc_expr::DimBindings> =
+            (0..3).map(|_| log_uniform_binding(&chain, 33.0, &mut rng)).collect();
+        let registry = std::sync::Arc::new(KernelRegistry::blas_lapack());
+        for mode in [InferenceMode::Compositional, InferenceMode::Deep] {
+            let warm = PlanCache::new(registry.clone(), mode);
+            for b in &opened {
+                let _ = warm.solve(&chain, b);
+            }
+            let store = warm.snapshot_json();
+            let loaded = PlanCache::new(registry.clone(), mode);
+            let recorded = loaded.load_snapshot_json(&store).expect("a saved store loads");
+            prop_assert_eq!(recorded, warm.plan_for(&chain).expect("recorded").region_count());
+            prop_assert_eq!(loaded.stats().requests(), 0, "loading is not a request");
+            prop_assert!(loaded.snapshot_json() == store, "re-saving changed the store");
+            for b in &opened {
+                check_against_cold_solve(&loaded, &chain, b);
+            }
+            prop_assert_eq!(loaded.stats().hits, opened.len() as u64, "every request hits");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     /// The region recorder infers compositional property sets through a
