@@ -238,7 +238,7 @@ pub(crate) fn render_prometheus(shared: &Shared) -> String {
             ),
             (
                 "gmc.cache.shard.snapshot_swaps",
-                "Copy-on-write snapshot publications per shard",
+                "Region publications per shard (one per recorded or loaded region)",
                 s.snapshot_swaps,
             ),
         ] {

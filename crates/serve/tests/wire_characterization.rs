@@ -277,7 +277,7 @@ gmc_cache_shard_regions{shard="6"} 0
 gmc_cache_shard_regions{shard="7"} 0
 gmc_cache_shard_regions{shard="8"} 0
 gmc_cache_shard_regions{shard="9"} 0
-# HELP gmc_cache_shard_snapshot_swaps Copy-on-write snapshot publications per shard
+# HELP gmc_cache_shard_snapshot_swaps Region publications per shard (one per recorded or loaded region)
 # TYPE gmc_cache_shard_snapshot_swaps counter
 gmc_cache_shard_snapshot_swaps{shard="0"} 1
 gmc_cache_shard_snapshot_swaps{shard="1"} 0
