@@ -280,11 +280,11 @@ impl PlanCache {
             )));
         }
         let kernels: Vec<String> = field(&doc, "kernels")?;
-        if !kernels.iter().map(String::as_str).eq(self
-            .registry()
-            .kernels()
+        let registry = self.registry().kernels();
+        if !kernels
             .iter()
-            .map(|k| k.name()))
+            .map(String::as_str)
+            .eq(registry.iter().map(|k| k.name()))
         {
             return Err(PlanError::Store(
                 "store kernel registry differs from this cache's registry".to_owned(),
